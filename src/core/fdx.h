@@ -2,6 +2,7 @@
 #define FDX_CORE_FDX_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -212,6 +213,20 @@ class FdxDiscoverer {
 
   /// Runs the full pipeline on a (possibly noisy) table.
   Result<FdxResult> Discover(const Table& table) const;
+
+  /// Runs the pair transform of some input under the transform options
+  /// Discover resolved (thread count and deadline filled in).
+  using MomentsFn =
+      std::function<Result<TransformedMoments>(const TransformOptions&)>;
+
+  /// The full pipeline over an input of `num_rows` x `num_columns`
+  /// whose transform is `moments`: the degenerate-shape result, the
+  /// deadline wiring, the transform, and structure learning. Discover
+  /// is this over the in-memory transform; DiscoverFromStore
+  /// (store/store_discover.h) is this over the streaming one, which is
+  /// why the two agree output for output.
+  Result<FdxResult> DiscoverFromMoments(size_t num_rows, size_t num_columns,
+                                        const MomentsFn& moments) const;
 
   /// Runs structure learning + FD generation on an externally supplied
   /// covariance (used by ablations that bypass the pair transform).

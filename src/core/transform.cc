@@ -12,39 +12,21 @@
 
 namespace fdx {
 
-namespace {
-
-/// Packs one pass's equality bits for every column into `bits`
-/// (num_pairs x k, reused across passes).
-void PackPassBits(const EncodedTable& encoded, const AttributePass& pass,
-                  BitMatrix* bits, PackScratch* scratch) {
-  const size_t k = encoded.num_columns();
-  bits->Reset(pass.num_pairs(), k);
-  for (size_t col = 0; col < k; ++col) {
-    ColumnBitWriter writer(bits->column_words(col));
-    AppendPassColumnBits(encoded.column_codes(col), pass, &writer, scratch);
-    writer.Flush();
+Status CheckTransformShape(size_t num_rows, size_t num_columns) {
+  if (num_columns == 0 || num_rows < 2) {
+    return Status::InvalidArgument(
+        "pair transform needs >= 2 rows and >= 1 column");
   }
+  if (num_rows > UINT32_MAX) {
+    // The pair layer streams 4-byte row indices (see core/pairs.h).
+    return Status::InvalidArgument("pair transform caps at 2^32 - 1 rows");
+  }
+  return Status::OK();
 }
 
-/// Per-thread stage timings, merged into the caller's TransformProfile
-/// under a mutex at chunk exit (profiling only; results never depend on
-/// it).
-struct LocalProfile {
-  double sort = 0.0;
-  double pack = 0.0;
-  double accumulate = 0.0;
+namespace {
 
-  void MergeInto(TransformProfile* profile, std::mutex* mu) const {
-    if (profile == nullptr) return;
-    std::lock_guard<std::mutex> lock(*mu);
-    profile->sort_seconds += sort;
-    profile->pack_seconds += pack;
-    profile->accumulate_seconds += accumulate;
-  }
-};
-
-/// Shared preamble of every transform entry point: validates the shape,
+/// Shared preamble of every in-memory entry point: validates the shape,
 /// encodes, shuffles, and forks the per-attribute seeds.
 struct TransformSetup {
   EncodedTable encoded;
@@ -57,14 +39,7 @@ Result<TransformSetup> PrepareTransform(const Table& table,
                                         const TransformOptions& options) {
   const size_t k = table.num_columns();
   const size_t n = table.num_rows();
-  if (k == 0 || n < 2) {
-    return Status::InvalidArgument(
-        "pair transform needs >= 2 rows and >= 1 column");
-  }
-  if (n > UINT32_MAX) {
-    // The pair layer streams 4-byte row indices (see core/pairs.h).
-    return Status::InvalidArgument("pair transform caps at 2^32 - 1 rows");
-  }
+  FDX_RETURN_IF_ERROR(CheckTransformShape(n, k));
   TransformSetup setup;
   setup.encoded = EncodedTable::Encode(table);
   PrepareTransformStreams(options.seed, n, k, &setup.shuffled,
@@ -99,7 +74,7 @@ Result<BitMatrix> PairTransformPacked(const Table& table,
   // between threads, bit-identical at any thread count.
   std::vector<AttributePass> passes(k);
   ParallelFor(0, k, options.threads, [&](size_t lo, size_t hi) {
-    LocalProfile local;
+    StageTimes local;
     Stopwatch watch;
     for (size_t attr = lo; attr < hi; ++attr) {
       if (CheckDeadline(options, &expired)) break;
@@ -120,7 +95,7 @@ Result<BitMatrix> PairTransformPacked(const Table& table,
   // appended sequentially across all passes.
   BitMatrix bits(setup.per_attr * k, k);
   ParallelFor(0, k, options.threads, [&](size_t lo, size_t hi) {
-    LocalProfile local;
+    StageTimes local;
     Stopwatch watch;
     PackScratch scratch;
     for (size_t col = lo; col < hi; ++col) {
@@ -152,21 +127,15 @@ Result<Matrix> PairTransform(const Table& table,
   return out;
 }
 
-namespace {
-
-/// The streaming accumulation core shared by PairTransformCounts and
-/// PairTransformMoments: runs every attribute pass (sort, pack,
-/// popcount) without materializing more than one pass of bits per
-/// thread, merging integer counts commutatively. When `pass_cov` is
-/// non-null (pooled covariance), each pass additionally produces its
-/// own double covariance from its integer pass moments, stored per
-/// attribute and reduced in attribute order by the caller.
-Status AccumulatePasses(const TransformSetup& setup,
+Status AccumulatePasses(const std::vector<std::vector<int32_t>>& columns,
+                        const std::vector<size_t>& cardinalities,
+                        const std::vector<uint32_t>& shuffled,
+                        const std::vector<uint64_t>& attr_seeds,
                         const TransformOptions& options,
                         std::vector<uint64_t>* counts,
                         std::vector<uint64_t>* co_counts, size_t* total,
                         std::vector<Matrix>* pass_cov) {
-  const size_t k = setup.encoded.num_columns();
+  const size_t k = columns.size();
   const size_t num_chunks =
       std::min(ResolveThreadCount(options.threads), k);
   std::vector<std::vector<uint64_t>> chunk_counts(
@@ -182,7 +151,7 @@ Status AccumulatePasses(const TransformSetup& setup,
       [&](size_t chunk, size_t lo, size_t hi) {
         AttributePass pass;
         BitMatrix bits;
-        LocalProfile local;
+        StageTimes local;
         Stopwatch watch;
         PackScratch scratch;
         std::vector<uint64_t> pass_counts(k, 0);
@@ -190,12 +159,16 @@ Status AccumulatePasses(const TransformSetup& setup,
         for (size_t attr = lo; attr < hi; ++attr) {
           if (CheckDeadline(options, &expired)) break;
           watch.Reset();
-          pass.Reset(setup.encoded, setup.shuffled, attr,
-                     options.max_pairs_per_attribute,
-                     setup.attr_seeds[attr]);
+          pass.Reset(columns[attr], cardinalities[attr], shuffled,
+                     options.max_pairs_per_attribute, attr_seeds[attr]);
           local.sort += watch.ElapsedSeconds();
           watch.Reset();
-          PackPassBits(setup.encoded, pass, &bits, &scratch);
+          bits.Reset(pass.num_pairs(), k);
+          for (size_t col = 0; col < k; ++col) {
+            ColumnBitWriter writer(bits.column_words(col));
+            AppendPassColumnBits(columns[col], pass, &writer, &scratch);
+            writer.Flush();
+          }
           local.pack += watch.ElapsedSeconds();
           watch.Reset();
           std::fill(pass_counts.begin(), pass_counts.end(), 0);
@@ -239,15 +212,14 @@ Status AccumulatePasses(const TransformSetup& setup,
   return Status::OK();
 }
 
-}  // namespace
-
 Result<TransformCounts> PairTransformCounts(const Table& table,
                                             const TransformOptions& options) {
   FDX_ASSIGN_OR_RETURN(TransformSetup setup, PrepareTransform(table, options));
   TransformCounts out;
-  FDX_RETURN_IF_ERROR(AccumulatePasses(setup, options, &out.counts,
-                                       &out.co_counts, &out.num_samples,
-                                       /*pass_cov=*/nullptr));
+  FDX_RETURN_IF_ERROR(AccumulatePasses(
+      setup.encoded.columns(), setup.encoded.cardinalities(), setup.shuffled,
+      setup.attr_seeds, options, &out.counts, &out.co_counts,
+      &out.num_samples, /*pass_cov=*/nullptr));
   return out;
 }
 
@@ -261,7 +233,8 @@ Result<TransformedMoments> PairTransformMoments(
   std::vector<uint64_t> co_counts;
   size_t total = 0;
   FDX_RETURN_IF_ERROR(AccumulatePasses(
-      setup, options, &counts, &co_counts, &total,
+      setup.encoded.columns(), setup.encoded.cardinalities(), setup.shuffled,
+      setup.attr_seeds, options, &counts, &co_counts, &total,
       options.pooled_covariance ? &pass_cov : nullptr));
 
   TransformedMoments moments = MomentsFromCounts(counts, co_counts, total, k);

@@ -2,6 +2,7 @@
 #define FDX_CORE_TRANSFORM_KERNELS_H_
 
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -10,15 +11,17 @@
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 /// Shared internals of the pair-difference transform. Two engines
 /// consume these: the in-memory PairTransform* entry points
 /// (core/transform.cc) and the out-of-core streaming transform
 /// (store/stream_transform.cc). Everything that determines the *result*
-/// of a transform — randomness ordering, equality semantics, bit
-/// layout, and the integer→double moment expressions — lives here, so
-/// the two engines cannot drift apart: bit-identical inputs produce
-/// bit-identical moments on either path.
+/// of a transform — shape checks, randomness ordering, equality
+/// semantics, bit layout, the resident-column pass loop, and the
+/// integer→double moment expressions — lives here, so the two engines
+/// cannot drift apart: bit-identical inputs produce bit-identical
+/// moments (and identical errors) on either path.
 namespace fdx {
 
 /// Equality indicator with strict null semantics: a null matches nothing.
@@ -39,6 +42,10 @@ inline std::vector<uint64_t> ForkAttributeSeeds(Rng* rng, size_t k) {
   for (size_t attr = 0; attr < k; ++attr) seeds[attr] = rng->engine()();
   return seeds;
 }
+
+/// Rejects inputs no transform can run on. Every entry point, in-memory
+/// and out-of-core, calls this, so both reject with the same message.
+Status CheckTransformShape(size_t num_rows, size_t num_columns);
 
 /// The canonical randomness preamble of every transform: one Rng seeded
 /// with `seed` shuffles the row identity permutation, then forks the k
@@ -221,6 +228,45 @@ inline TransformedMoments MomentsFromCounts(
   }
   return moments;
 }
+
+/// Per-thread stage timings, merged into the caller's TransformProfile
+/// under a mutex when a thread's share of the passes is done (profiling
+/// only; results never depend on it).
+struct StageTimes {
+  double sort = 0.0;
+  double pack = 0.0;
+  double accumulate = 0.0;
+
+  void MergeInto(TransformProfile* profile, std::mutex* mu) const {
+    if (profile == nullptr) return;
+    std::lock_guard<std::mutex> lock(*mu);
+    profile->sort_seconds += sort;
+    profile->pack_seconds += pack;
+    profile->accumulate_seconds += accumulate;
+  }
+};
+
+/// The resident-column pass loop, shared by the in-memory transform
+/// and the out-of-core transform whenever every column fits in memory.
+/// `columns[c]` holds column c's dense dictionary codes (kNullCode for
+/// nulls) and `cardinalities[c]` its distinct non-null values;
+/// `shuffled` and `attr_seeds` come from PrepareTransformStreams.
+///
+/// Runs every attribute pass (sort, pack, popcount) in parallel over
+/// attributes, holding one pass of bits per thread, and merges integer
+/// counts commutatively into `counts` / `co_counts` / `total` (assigned,
+/// not added to). When `pass_cov` is non-null (pooled covariance, sized
+/// k), each pass also stores its own covariance in its attribute's slot
+/// for the caller to reduce in attribute order. Polls
+/// `options.deadline` between passes (kTimeout on expiry).
+Status AccumulatePasses(const std::vector<std::vector<int32_t>>& columns,
+                        const std::vector<size_t>& cardinalities,
+                        const std::vector<uint32_t>& shuffled,
+                        const std::vector<uint64_t>& attr_seeds,
+                        const TransformOptions& options,
+                        std::vector<uint64_t>* counts,
+                        std::vector<uint64_t>* co_counts, size_t* total,
+                        std::vector<Matrix>* pass_cov);
 
 }  // namespace fdx
 

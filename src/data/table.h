@@ -110,6 +110,8 @@ class EncodedTable {
   const std::vector<int32_t>& column_codes(size_t col) const {
     return codes_[col];
   }
+  /// Every column's codes, indexed by column.
+  const std::vector<std::vector<int32_t>>& columns() const { return codes_; }
 
  private:
   Schema schema_;

@@ -293,10 +293,10 @@ void EventLoop::ApplyCompletion(const Completion& completion) {
   conn->write_buf += '\n';
   if (!completion.keep_open) {
     conn->close_after_flush = true;
-    // Frames pipelined behind a closing response are dropped, matching
-    // the legacy path (the connection closes after this reply); keeping
-    // them would park the connection forever, since they never execute
-    // and MaybeClose waits for an empty queue.
+    // Frames pipelined behind a closing response are dropped (the
+    // connection closes after this reply); keeping them would park the
+    // connection forever, since they never execute and MaybeClose waits
+    // for an empty queue.
     conn->pending.clear();
     conn->read_buf.clear();
   }

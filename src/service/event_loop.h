@@ -32,9 +32,9 @@ namespace fdx {
 /// are *executed strictly in arrival order, one at a time* — request
 /// k+1 does not start until request k's response is computed. Responses
 /// are therefore written in request order by construction, and
-/// per-connection effect ordering (append-then-discover) matches the
-/// serial semantics of the legacy thread-per-connection path. Requests
-/// from different connections execute concurrently on the worker pool.
+/// per-connection effect ordering (append-then-discover) is that of a
+/// serial client. Requests from different connections execute
+/// concurrently on the worker pool.
 ///
 /// Execution happens through a dispatch callback provided by the
 /// server. The dispatcher either answers synchronously on the loop

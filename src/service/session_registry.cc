@@ -196,13 +196,4 @@ SessionRegistry::SolverTotals SessionRegistry::SolverStats() const {
   return totals;
 }
 
-size_t SessionRegistry::size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->slots.size();
-  }
-  return total;
-}
-
 }  // namespace fdx

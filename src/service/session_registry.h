@@ -112,7 +112,11 @@ class SessionRegistry {
   };
   SolverTotals SolverStats() const;
 
-  size_t size() const;
+  /// Open sessions: the admission counter, one consistent read that
+  /// never exceeds max_sessions() (a sum over shards taken under
+  /// successive locks can). A session counts from the moment its slot
+  /// is reserved, just before Open() publishes it.
+  size_t size() const { return live_.load(std::memory_order_relaxed); }
   size_t max_sessions() const { return max_sessions_; }
   double ttl_seconds() const { return ttl_seconds_; }
   size_t shards() const { return shards_.size(); }

@@ -1,7 +1,6 @@
 #include "store/stream_transform.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <list>
@@ -63,22 +62,15 @@ class ColumnCache {
   std::unordered_map<size_t, Entry> entries_;
 };
 
-/// Shape validation + the canonical randomness preamble. Must reject
-/// with the exact in-memory messages: equivalence tests compare errors
-/// too.
+/// Shape validation (the in-memory check itself, so both engines reject
+/// with the same message) + the canonical randomness preamble.
 Status PrepareStream(const ChunkedTable& table,
                      const StreamTransformOptions& options,
                      std::vector<uint32_t>* shuffled,
                      std::vector<uint64_t>* attr_seeds) {
   const size_t k = table.num_columns();
   const size_t n = table.num_rows();
-  if (k == 0 || n < 2) {
-    return Status::InvalidArgument(
-        "pair transform needs >= 2 rows and >= 1 column");
-  }
-  if (n > UINT32_MAX) {
-    return Status::InvalidArgument("pair transform caps at 2^32 - 1 rows");
-  }
+  FDX_RETURN_IF_ERROR(CheckTransformShape(n, k));
   PrepareTransformStreams(options.transform.seed, n, k, shuffled, attr_seeds);
   return Status::OK();
 }
@@ -191,65 +183,67 @@ size_t WaveSize(const StreamTransformOptions& options, size_t n, size_t k) {
       std::min<uint64_t>(k, std::max<uint64_t>(1, fit)));
 }
 
-struct StageTimes {
-  double sort = 0.0;
-  double pack = 0.0;
-  double accumulate = 0.0;
-
-  void MergeInto(TransformProfile* profile, std::mutex* mu) const {
-    if (profile == nullptr) return;
-    std::lock_guard<std::mutex> lock(*mu);
-    profile->sort_seconds += sort;
-    profile->pack_seconds += pack;
-    profile->accumulate_seconds += accumulate;
-  }
-};
-
-/// Runs one attribute pass end to end (sort, pack, popcount) against
-/// whatever column source the caller wired up, adding the pass's
-/// integer moments into `counts`/`co_counts`. All three accumulation
-/// kernels are the shared ones in core/transform_kernels.h.
-template <typename GetColumn>
-Status RunPass(size_t attr, const ChunkedTable& table,
-               const StreamTransformOptions& options,
-               const std::vector<uint32_t>& shuffled, uint64_t attr_seed,
-               const GetColumn& get_column, AttributePass* pass,
-               BitMatrix* bits, std::vector<uint64_t>* pass_counts,
-               std::vector<uint64_t>* pass_co_counts, uint64_t* counts,
-               uint64_t* co_counts, size_t* total,
-               std::vector<Matrix>* pass_cov, StageTimes* times) {
+/// The serial schedule of the memory-bounded path, kept as the
+/// reference the wave schedule is checked against: one attribute pass
+/// at a time (sort, pack, popcount) over an LRU cache of `capacity`
+/// decoded columns. Same kernels, same integer arithmetic as every
+/// other schedule; only the I/O order differs.
+Status AccumulateSerial(const ChunkedTable& table,
+                        const StreamTransformOptions& options,
+                        const std::vector<uint32_t>& shuffled,
+                        const std::vector<uint64_t>& attr_seeds,
+                        size_t capacity, std::vector<uint64_t>* counts,
+                        std::vector<uint64_t>* co_counts, size_t* total,
+                        std::vector<Matrix>* pass_cov,
+                        std::mutex* profile_mu) {
   const size_t k = table.num_columns();
-  Stopwatch watch;
-  {
-    FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes, get_column(attr));
-    pass->Reset(*codes, table.Cardinality(attr), shuffled,
-                options.transform.max_pairs_per_attribute, attr_seed);
-  }
-  times->sort += watch.ElapsedSeconds();
-
-  watch.Reset();
-  bits->Reset(pass->num_pairs(), k);
+  const Deadline* deadline = options.transform.deadline;
+  ColumnCache cache(&table, capacity);
+  AttributePass pass;
+  BitMatrix bits;
   PackScratch scratch;
-  for (size_t col = 0; col < k; ++col) {
-    FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes, get_column(col));
-    ColumnBitWriter writer(bits->column_words(col));
-    AppendPassColumnBits(*codes, *pass, &writer, &scratch);
-    writer.Flush();
-  }
-  times->pack += watch.ElapsedSeconds();
+  StageTimes times;
+  Stopwatch watch;
+  std::vector<uint64_t> pass_counts(k, 0);
+  std::vector<uint64_t> pass_co_counts(k * k, 0);
+  for (size_t attr = 0; attr < k; ++attr) {
+    if (deadline != nullptr && deadline->Expired()) {
+      return Status::Timeout("pair transform: time budget exhausted");
+    }
+    FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
 
-  watch.Reset();
-  std::fill(pass_counts->begin(), pass_counts->end(), 0);
-  std::fill(pass_co_counts->begin(), pass_co_counts->end(), 0);
-  bits->AccumulateMoments(pass_counts->data(), pass_co_counts->data());
-  for (size_t c = 0; c < k; ++c) counts[c] += (*pass_counts)[c];
-  for (size_t c = 0; c < k * k; ++c) co_counts[c] += (*pass_co_counts)[c];
-  *total += pass->num_pairs();
-  times->accumulate += watch.ElapsedSeconds();
-  if (pass_cov != nullptr && pass->num_pairs() > 0) {
-    (*pass_cov)[attr] = PassCovarianceFromCounts(
-        pass_counts->data(), pass_co_counts->data(), k, pass->num_pairs());
+    watch.Reset();
+    {
+      FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes, cache.Get(attr));
+      pass.Reset(*codes, table.Cardinality(attr), shuffled,
+                 options.transform.max_pairs_per_attribute, attr_seeds[attr]);
+    }
+    times.sort += watch.ElapsedSeconds();
+
+    watch.Reset();
+    bits.Reset(pass.num_pairs(), k);
+    for (size_t col = 0; col < k; ++col) {
+      FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes, cache.Get(col));
+      ColumnBitWriter writer(bits.column_words(col));
+      AppendPassColumnBits(*codes, pass, &writer, &scratch);
+      writer.Flush();
+    }
+    times.pack += watch.ElapsedSeconds();
+
+    watch.Reset();
+    std::fill(pass_counts.begin(), pass_counts.end(), 0);
+    std::fill(pass_co_counts.begin(), pass_co_counts.end(), 0);
+    bits.AccumulateMoments(pass_counts.data(), pass_co_counts.data());
+    for (size_t c = 0; c < k; ++c) (*counts)[c] += pass_counts[c];
+    for (size_t c = 0; c < k * k; ++c) (*co_counts)[c] += pass_co_counts[c];
+    *total += pass.num_pairs();
+    times.accumulate += watch.ElapsedSeconds();
+    if (pass_cov != nullptr && pass.num_pairs() > 0) {
+      (*pass_cov)[attr] = PassCovarianceFromCounts(
+          pass_counts.data(), pass_co_counts.data(), k, pass.num_pairs());
+    }
   }
+  times.MergeInto(options.transform.profile, profile_mu);
   return Status::OK();
 }
 
@@ -372,12 +366,13 @@ Status AccumulateWaves(const ChunkedTable& table,
   return Status::OK();
 }
 
-/// The streaming analogue of the in-memory AccumulatePasses. With every
-/// column resident the passes fan out across threads exactly like the
-/// in-memory engine; under a cache budget the bounded schedule (waves
-/// by default, the serial LRU loop as the reference) takes over. Counts
-/// are integers merged commutatively and pooled pass covariances are
-/// stored per attribute, so every schedule produces the same bits.
+/// Accumulates every attribute pass of a ChunkedTable. With every
+/// column resident it decodes them once and hands them to the in-memory
+/// engine's own pass loop (AccumulatePasses); under a cache budget the
+/// bounded schedule (waves by default, the serial LRU loop as the
+/// reference) takes over. Counts are integers merged commutatively and
+/// pooled pass covariances are stored per attribute, so every schedule
+/// produces the same bits.
 Status AccumulateStream(const ChunkedTable& table,
                         const StreamTransformOptions& options,
                         const std::vector<uint32_t>& shuffled,
@@ -388,108 +383,31 @@ Status AccumulateStream(const ChunkedTable& table,
   const size_t k = table.num_columns();
   const size_t n = table.num_rows();
   const size_t capacity = CacheCapacity(options, n, k);
-  const Deadline* deadline = options.transform.deadline;
-  std::mutex profile_mu;
+
+  if (capacity >= k) {
+    std::vector<std::vector<int32_t>> columns(k);
+    std::vector<size_t> cardinalities(k);
+    for (size_t c = 0; c < k; ++c) {
+      FDX_RETURN_IF_ERROR(table.ReadColumnCodes(c, &columns[c]));
+      cardinalities[c] = table.Cardinality(c);
+    }
+    FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
+    return AccumulatePasses(columns, cardinalities, shuffled, attr_seeds,
+                            options.transform, counts, co_counts, total,
+                            pass_cov);
+  }
 
   counts->assign(k, 0);
   co_counts->assign(k * k, 0);
   *total = 0;
-
-  if (capacity >= k) {
-    // Everything fits: decode each column once and run the same
-    // parallel-over-attributes schedule as the in-memory engine.
-    std::vector<std::vector<int32_t>> columns(k);
-    for (size_t c = 0; c < k; ++c) {
-      FDX_RETURN_IF_ERROR(table.ReadColumnCodes(c, &columns[c]));
-    }
-    FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
-
-    const size_t num_chunks =
-        std::min(ResolveThreadCount(options.transform.threads), k);
-    std::vector<std::vector<uint64_t>> chunk_counts(
-        num_chunks, std::vector<uint64_t>(k, 0));
-    std::vector<std::vector<uint64_t>> chunk_co_counts(
-        num_chunks, std::vector<uint64_t>(k * k, 0));
-    std::vector<size_t> chunk_totals(num_chunks, 0);
-    std::atomic<bool> expired{false};
-    std::vector<Status> chunk_status(num_chunks, Status::OK());
-
-    ParallelForChunks(
-        0, k, num_chunks, options.transform.threads,
-        [&](size_t chunk, size_t lo, size_t hi) {
-          AttributePass pass;
-          BitMatrix bits;
-          StageTimes times;
-          std::vector<uint64_t> pass_counts(k, 0);
-          std::vector<uint64_t> pass_co_counts(k * k, 0);
-          const auto get_column =
-              [&](size_t col) -> Result<const std::vector<int32_t>*> {
-            return &columns[col];
-          };
-          for (size_t attr = lo; attr < hi; ++attr) {
-            if (deadline != nullptr &&
-                (expired.load(std::memory_order_relaxed) ||
-                 deadline->Expired())) {
-              expired.store(true, std::memory_order_relaxed);
-              break;
-            }
-            const Status status = RunPass(
-                attr, table, options, shuffled, attr_seeds[attr], get_column,
-                &pass, &bits, &pass_counts, &pass_co_counts,
-                chunk_counts[chunk].data(), chunk_co_counts[chunk].data(),
-                &chunk_totals[chunk], pass_cov, &times);
-            if (!status.ok()) {
-              chunk_status[chunk] = status;
-              break;
-            }
-          }
-          times.MergeInto(options.transform.profile, &profile_mu);
-        });
-
-    for (const Status& status : chunk_status) {
-      FDX_RETURN_IF_ERROR(status);
-    }
-    if (expired.load(std::memory_order_relaxed)) {
-      return Status::Timeout("pair transform: time budget exhausted");
-    }
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      for (size_t c = 0; c < k; ++c) (*counts)[c] += chunk_counts[chunk][c];
-      for (size_t c = 0; c < k * k; ++c) {
-        (*co_counts)[c] += chunk_co_counts[chunk][c];
-      }
-      *total += chunk_totals[chunk];
-    }
-  } else if (options.bounded_schedule == BoundedSchedule::kWave) {
-    FDX_RETURN_IF_ERROR(AccumulateWaves(table, options, shuffled, attr_seeds,
-                                        counts, co_counts, total, pass_cov,
-                                        &profile_mu));
-  } else {
-    // Bounded memory: serial passes over an LRU column cache. Same
-    // kernels, same integer arithmetic — only the I/O schedule differs.
-    ColumnCache cache(&table, capacity);
-    AttributePass pass;
-    BitMatrix bits;
-    StageTimes times;
-    std::vector<uint64_t> pass_counts(k, 0);
-    std::vector<uint64_t> pass_co_counts(k * k, 0);
-    const auto get_column =
-        [&](size_t col) -> Result<const std::vector<int32_t>*> {
-      return cache.Get(col);
-    };
-    for (size_t attr = 0; attr < k; ++attr) {
-      if (deadline != nullptr && deadline->Expired()) {
-        return Status::Timeout("pair transform: time budget exhausted");
-      }
-      FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
-      FDX_RETURN_IF_ERROR(RunPass(attr, table, options, shuffled,
-                                  attr_seeds[attr], get_column, &pass, &bits,
-                                  &pass_counts, &pass_co_counts,
-                                  counts->data(), co_counts->data(), total,
-                                  pass_cov, &times));
-    }
-    times.MergeInto(options.transform.profile, &profile_mu);
-  }
-
+  std::mutex profile_mu;
+  FDX_RETURN_IF_ERROR(
+      options.bounded_schedule == BoundedSchedule::kWave
+          ? AccumulateWaves(table, options, shuffled, attr_seeds, counts,
+                            co_counts, total, pass_cov, &profile_mu)
+          : AccumulateSerial(table, options, shuffled, attr_seeds, capacity,
+                             counts, co_counts, total, pass_cov,
+                             &profile_mu));
   if (*total == 0) {
     return Status::InvalidArgument("pair transform produced no samples");
   }

@@ -8,10 +8,6 @@
 
 namespace fdx {
 
-/// Knobs of the out-of-core pair transform. The embedded TransformOptions
-/// mean exactly what they mean in-memory — same seed derivation, same
-/// sampling, same pooled-covariance estimator — because both engines run
-/// the shared kernels in core/transform_kernels.h.
 /// Schedule of the memory-bounded path (cache budget smaller than the
 /// full column set). Both schedules run the same kernels on the same
 /// integer counts, so they produce bit-identical results at any thread
@@ -28,12 +24,18 @@ enum class BoundedSchedule {
   kSerial,
 };
 
+/// Knobs of the out-of-core pair transform. The embedded TransformOptions
+/// mean exactly what they mean in-memory — same seed derivation, same
+/// sampling, same pooled-covariance estimator, same deadline polling —
+/// because both engines run the shared code in core/transform_kernels.h.
 struct StreamTransformOptions {
   TransformOptions transform;
   /// Budget for the resident working set (decoded columns at 4
   /// bytes/row, plus per-pass state on the wave schedule). When every
-  /// column fits, passes run in parallel exactly like the in-memory
-  /// engine; otherwise the bounded schedule below kicks in. 0 means
+  /// column fits, the columns are decoded once and handed to the
+  /// in-memory engine's own pass loop (AccumulatePasses): the same
+  /// parallel loop, per-thread merge and deadline polling, not a copy of
+  /// them. Otherwise the bounded schedule below kicks in. 0 means
   /// unbounded (keep all columns). Results are bit-identical either
   /// way — the budget only changes I/O.
   uint64_t column_cache_bytes = 0;

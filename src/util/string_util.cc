@@ -53,6 +53,20 @@ bool IsInteger(std::string_view text) {
   return ec == std::errc() && ptr == text.data() + text.size();
 }
 
+Result<int64_t> ParseIntFlag(std::string_view flag, std::string_view text,
+                             int64_t min, int64_t max) {
+  int64_t value = 0;
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || ptr != text.data() + text.size() ||
+      value < min || value > max) {
+    return Status::InvalidArgument(
+        std::string(flag) + " must be an integer in [" + std::to_string(min) +
+        ", " + std::to_string(max) + "], got \"" + std::string(text) + "\"");
+  }
+  return value;
+}
+
 bool IsDouble(std::string_view text) {
   if (text.empty()) return false;
   double value = 0.0;

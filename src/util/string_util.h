@@ -1,9 +1,12 @@
 #ifndef FDX_UTIL_STRING_UTIL_H_
 #define FDX_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/status.h"
 
 namespace fdx {
 
@@ -19,6 +22,33 @@ std::string_view StripAsciiWhitespace(std::string_view text);
 
 /// True if `text` parses fully as a decimal integer.
 bool IsInteger(std::string_view text);
+
+/// Parses the value of an integer command-line flag (`flag` is its name,
+/// e.g. "--workers"): the whole of `text` must be a decimal integer in
+/// [min, max]. The error names the flag, the range and the bad value.
+Result<int64_t> ParseIntFlag(std::string_view flag, std::string_view text,
+                             int64_t min, int64_t max);
+
+/// Command-line helper around ParseIntFlag: when `arg` is `flag=VALUE`,
+/// stores the parsed VALUE in `*out` (or the error in `*error`) and
+/// returns true; for any other argument returns false and touches
+/// nothing.
+template <typename T>
+bool ConsumeIntFlag(std::string_view arg, std::string_view flag, int64_t min,
+                    int64_t max, T* out, Status* error) {
+  if (arg.size() <= flag.size() || arg.substr(0, flag.size()) != flag ||
+      arg[flag.size()] != '=') {
+    return false;
+  }
+  Result<int64_t> parsed =
+      ParseIntFlag(flag, arg.substr(flag.size() + 1), min, max);
+  if (parsed.ok()) {
+    *out = static_cast<T>(parsed.value());
+  } else {
+    *error = parsed.status();
+  }
+  return true;
+}
 
 /// True if `text` parses fully as a floating-point number.
 bool IsDouble(std::string_view text);

@@ -639,52 +639,5 @@ TEST_F(ServiceIntegrationTest, StatusExposesIoAndShardObservability) {
   EXPECT_DOUBLE_EQ(sessions->NumberOr("shards", 0), 4);
 }
 
-TEST_F(ServiceIntegrationTest, LegacyThreadModeStillServes) {
-  ServerOptions options;
-  options.io_mode = IoMode::kThreadPerConnection;
-  FdxServer& server = StartServer(options);
-
-  // Lifecycle smoke on the legacy path (the suite default is epoll, so
-  // this is the thread-per-connection regression coverage).
-  auto open = Request(server.port(),
-                      R"({"op":"open","schema":["a","b","c"]})");
-  ASSERT_TRUE(open.ok());
-  ASSERT_TRUE(IsOk(*open)) << *open;
-  ASSERT_TRUE(Request(server.port(),
-                      R"({"op":"append","session":"s-1","rows":)" +
-                          RowsJson(24, 5) + "}")
-                  .ok());
-  auto cold = Request(server.port(), R"({"op":"discover","session":"s-1"})");
-  ASSERT_TRUE(cold.ok());
-  EXPECT_TRUE(IsOk(*cold)) << *cold;
-  auto cached = Request(server.port(), R"({"op":"discover","session":"s-1"})");
-  ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(*cold, *cached);
-  EXPECT_EQ(server.cache().hits(), 1u);
-
-  // Legacy connections also serve pipelined batches in order (the
-  // blocking loop reads frames sequentially).
-  auto sock = Socket::ConnectLoopback(server.port());
-  ASSERT_TRUE(sock.ok());
-  ASSERT_TRUE(sock->SendAll(DiscoverTableRequest(10, 5) + "\n" +
-                            DiscoverTableRequest(12, 5) + "\n")
-                  .ok());
-  for (const double rows : {10.0, 12.0}) {
-    std::string line;
-    ASSERT_TRUE(sock->ReadLine(&line).ok());
-    auto parsed = JsonValue::Parse(line);
-    ASSERT_TRUE(parsed.ok()) << line;
-    EXPECT_DOUBLE_EQ(parsed->NumberOr("rows", 0), rows) << line;
-  }
-
-  auto status = Request(server.port(), R"({"op":"status"})");
-  ASSERT_TRUE(status.ok());
-  auto parsed = JsonValue::Parse(*status);
-  ASSERT_TRUE(parsed.ok());
-  const JsonValue* io = parsed->Find("io");
-  ASSERT_NE(io, nullptr) << *status;
-  EXPECT_EQ(io->StringOr("mode", ""), "threads");
-}
-
 }  // namespace
 }  // namespace fdx

@@ -17,6 +17,7 @@
 #include "store/store_discover.h"
 #include "store/stream_transform.h"
 #include "util/file_io.h"
+#include "util/stopwatch.h"
 
 namespace fdx {
 namespace {
@@ -78,23 +79,42 @@ void ExpectMomentsIdentical(const TransformedMoments& memory,
 }
 
 TEST(StoreEquivalenceTest, MomentsIdenticalAcrossChunkAndThreadGrid) {
+  // No cache budget, so every store here takes the all-resident branch:
+  // decoded chunk columns fed to the in-memory pass loop. Each thread
+  // count runs plain, with pooled covariance, and under an already
+  // expired deadline (both engines must then fail identically).
+  enum class Variant { kPlain, kPooled, kExpiredDeadline };
   const Table table = FdTable(600);
-  for (size_t threads : kThreadCounts) {
-    TransformOptions transform;
-    transform.threads = threads;
-    auto memory = PairTransformMoments(table, transform);
-    ASSERT_TRUE(memory.ok());
-    for (size_t chunk_rows : kChunkSizes) {
-      auto store = ChunkedTable::Create(table.schema(), "");
-      ASSERT_TRUE(store.ok());
-      AppendInChunks(table, chunk_rows, &store.value());
-      StreamTransformOptions stream;
-      stream.transform = transform;
-      auto streamed = StreamTransformMoments(store.value(), stream);
-      ASSERT_TRUE(streamed.ok())
-          << chunk_rows << "x" << threads << ": "
-          << streamed.status().message();
-      ExpectMomentsIdentical(memory.value(), streamed.value());
+  const Deadline expired(1e-9);
+  while (!expired.Expired()) {
+  }
+  for (Variant variant :
+       {Variant::kPlain, Variant::kPooled, Variant::kExpiredDeadline}) {
+    for (size_t threads : kThreadCounts) {
+      TransformOptions transform;
+      transform.threads = threads;
+      transform.pooled_covariance = variant == Variant::kPooled;
+      if (variant == Variant::kExpiredDeadline) transform.deadline = &expired;
+      auto memory = PairTransformMoments(table, transform);
+      ASSERT_EQ(memory.ok(), variant != Variant::kExpiredDeadline);
+      for (size_t chunk_rows : kChunkSizes) {
+        auto store = ChunkedTable::Create(table.schema(), "");
+        ASSERT_TRUE(store.ok());
+        AppendInChunks(table, chunk_rows, &store.value());
+        StreamTransformOptions stream;
+        stream.transform = transform;
+        auto streamed = StreamTransformMoments(store.value(), stream);
+        if (!memory.ok()) {
+          ASSERT_FALSE(streamed.ok()) << chunk_rows << "x" << threads;
+          EXPECT_EQ(streamed.status().code(), StatusCode::kTimeout);
+          EXPECT_EQ(streamed.status().message(), memory.status().message());
+          continue;
+        }
+        ASSERT_TRUE(streamed.ok())
+            << chunk_rows << "x" << threads << ": "
+            << streamed.status().message();
+        ExpectMomentsIdentical(memory.value(), streamed.value());
+      }
     }
   }
 }

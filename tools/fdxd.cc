@@ -5,17 +5,18 @@
 // Shut it down with `fdxctl shutdown`; the daemon drains in-flight
 // discovery jobs under --drain-seconds and exits.
 //
-// I/O architecture (DESIGN.md §12): the default `--io=epoll` mode runs
-// a fixed set of event-loop threads multiplexing every connection with
-// pipelined request framing; `--io=threads` keeps the legacy
-// thread-per-connection path for baseline comparisons.
+// I/O architecture (DESIGN.md §12): a fixed set of epoll event-loop
+// threads multiplexes every connection with pipelined request framing;
+// solver-bound work runs on a bounded pool of worker threads.
 //
-// Flags (all --key=value):
+// Flags (all --key=value). An integer flag whose value is not an
+// integer or lies outside the flag's range is a usage error: the daemon
+// names the flag and its range and exits with code 2 before starting
+// any thread.
 //   --port=N            listen port; 0 (default) picks an ephemeral port
 //   --port-file=PATH    write the bound port to PATH (for scripts/CI)
-//   --io=epoll|threads  I/O mode                            (default epoll)
-//   --io-threads=N      event-loop threads (epoll mode)     (default 1)
-//   --workers=N         discovery worker threads            (default 2)
+//   --io-threads=N      event-loop threads, 1..1024         (default 1)
+//   --workers=N         discovery worker threads, 1..1024   (default 2)
 //   --queue-capacity=N  admitted-unfinished job cap         (default 8)
 //   --max-sessions=N    open dataset sessions cap           (default 32)
 //   --session-ttl=SEC   idle-session eviction, <=0 disables (default 600)
@@ -64,6 +65,7 @@
 #include <vector>
 
 #include "service/server.h"
+#include "util/string_util.h"
 
 namespace fdx::daemon {
 namespace {
@@ -71,8 +73,8 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: fdxd [--port=N] [--port-file=PATH]\n"
-               "            [--io=epoll|threads] [--io-threads=N]\n"
-               "            [--workers=N] [--queue-capacity=N]\n"
+               "            [--io-threads=N] [--workers=N]\n"
+               "            [--queue-capacity=N]\n"
                "            [--max-sessions=N] [--session-ttl=SEC]\n"
                "            [--session-shards=N] [--drain-seconds=SEC]\n"
                "            [--cache-capacity=N] [--cache-shards=N]\n"
@@ -106,48 +108,36 @@ int Main(int argc, char** argv) {
     const auto value = [&arg](const char* prefix) {
       return arg.substr(std::string(prefix).size());
     };
-    if (arg.rfind("--port=", 0) == 0) {
-      options.port = static_cast<uint16_t>(std::atoi(value("--port=").c_str()));
-    } else if (arg.rfind("--port-file=", 0) == 0) {
-      port_file = value("--port-file=");
-    } else if (arg.rfind("--io=", 0) == 0) {
-      const std::string mode = value("--io=");
-      if (mode == "epoll") {
-        options.io_mode = IoMode::kEventLoop;
-      } else if (mode == "threads") {
-        options.io_mode = IoMode::kThreadPerConnection;
-      } else {
-        std::fprintf(stderr, "fdxd: --io must be epoll or threads\n");
+    // Integer flags: a value that is not an integer in the flag's
+    // range is reported by name before anything starts.
+    Status bad_int = Status::OK();
+    const auto int_flag = [&](const char* name, int64_t min, int64_t max,
+                              auto* out) {
+      return ConsumeIntFlag(arg, name, min, max, out, &bad_int);
+    };
+    constexpr int64_t kMaxThreads = 1024;
+    constexpr int64_t kMaxCount = int64_t{1} << 24;
+    if (int_flag("--port", 0, 65535, &options.port) ||
+        int_flag("--io-threads", 1, kMaxThreads, &options.io_threads) ||
+        int_flag("--workers", 1, kMaxThreads, &options.workers) ||
+        int_flag("--queue-capacity", 0, kMaxCount, &options.queue_capacity) ||
+        int_flag("--max-sessions", 0, kMaxCount, &options.max_sessions) ||
+        int_flag("--session-shards", 1, kMaxThreads, &options.session_shards) ||
+        int_flag("--cache-capacity", 0, kMaxCount, &options.cache_capacity) ||
+        int_flag("--cache-shards", 1, kMaxThreads, &options.cache_shards) ||
+        int_flag("--max-pipeline-depth", 1, kMaxCount,
+                 &options.max_pipeline_depth) ||
+        int_flag("--shed-rss-mb", 0, kMaxCount, &options.shed_max_rss_mb)) {
+      if (!bad_int.ok()) {
+        std::fprintf(stderr, "fdxd: %s\n", bad_int.message().c_str());
         return Usage();
       }
-    } else if (arg.rfind("--io-threads=", 0) == 0) {
-      options.io_threads =
-          static_cast<size_t>(std::atoi(value("--io-threads=").c_str()));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      options.workers =
-          static_cast<size_t>(std::atoi(value("--workers=").c_str()));
-    } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-      options.queue_capacity =
-          static_cast<size_t>(std::atoi(value("--queue-capacity=").c_str()));
-    } else if (arg.rfind("--max-sessions=", 0) == 0) {
-      options.max_sessions =
-          static_cast<size_t>(std::atoi(value("--max-sessions=").c_str()));
+    } else if (arg.rfind("--port-file=", 0) == 0) {
+      port_file = value("--port-file=");
     } else if (arg.rfind("--session-ttl=", 0) == 0) {
       options.session_ttl_seconds = std::atof(value("--session-ttl=").c_str());
-    } else if (arg.rfind("--session-shards=", 0) == 0) {
-      options.session_shards =
-          static_cast<size_t>(std::atoi(value("--session-shards=").c_str()));
     } else if (arg.rfind("--drain-seconds=", 0) == 0) {
       options.drain_seconds = std::atof(value("--drain-seconds=").c_str());
-    } else if (arg.rfind("--cache-capacity=", 0) == 0) {
-      options.cache_capacity =
-          static_cast<size_t>(std::atoi(value("--cache-capacity=").c_str()));
-    } else if (arg.rfind("--cache-shards=", 0) == 0) {
-      options.cache_shards =
-          static_cast<size_t>(std::atoi(value("--cache-shards=").c_str()));
-    } else if (arg.rfind("--max-pipeline-depth=", 0) == 0) {
-      options.max_pipeline_depth = static_cast<size_t>(
-          std::atoi(value("--max-pipeline-depth=").c_str()));
     } else if (arg.rfind("--lambda=", 0) == 0) {
       options.fdx.lambda = std::atof(value("--lambda=").c_str());
     } else if (arg.rfind("--time-budget=", 0) == 0) {
@@ -166,9 +156,6 @@ int Main(int argc, char** argv) {
     } else if (arg.rfind("--shed-watermark=", 0) == 0) {
       options.shed_queue_watermark =
           std::atof(value("--shed-watermark=").c_str());
-    } else if (arg.rfind("--shed-rss-mb=", 0) == 0) {
-      options.shed_max_rss_mb =
-          static_cast<size_t>(std::atoi(value("--shed-rss-mb=").c_str()));
     } else if (arg.rfind("--shed-retry-after=", 0) == 0) {
       options.shed_retry_after_seconds =
           std::atof(value("--shed-retry-after=").c_str());
@@ -225,9 +212,8 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  std::printf("fdxd listening on 127.0.0.1:%u (%s)\n",
-              static_cast<unsigned>(server.port()),
-              server.io_mode() == IoMode::kEventLoop ? "epoll" : "threads");
+  std::printf("fdxd listening on 127.0.0.1:%u (epoll)\n",
+              static_cast<unsigned>(server.port()));
   std::fflush(stdout);
 
   server.Wait();  // returns once a `shutdown` request or signal drained

@@ -20,12 +20,13 @@
 //                   "p50_ms":.., "p95_ms":.., "p99_ms":..}, ... } } ] }
 //
 // Re-running with the same --label replaces that run, so a script can
-// build one file comparing `--label=epoll` vs `--label=threads`.
+// build one file comparing, say, `--label=io1` vs `--label=io4` runs of
+// different --io-threads settings.
 //
-// Flags:
+// Flags (an integer flag whose value is not an integer or lies outside
+// the flag's range is a usage error, reported by name, exit code 2):
 //   --port=N | --port-file=PATH  target an already-running daemon
 //   --self-host                  start an in-process FdxServer instead
-//   --io=epoll|threads           self-host I/O mode      (default epoll)
 //   --io-threads=N --workers=N --queue-capacity=N --cache-capacity=N
 //                                self-host server tuning
 //   --clients=N                  concurrent connections  (default 64)
@@ -33,7 +34,8 @@
 //   --pipeline=N                 in-flight per connection (default 4)
 //   --discover-pct=P --append-pct=P   traffic mix        (default 60/20;
 //                                remainder is `status`)
-//   --label=STR                  run label in the output (default io mode)
+//   --label=STR                  run label in the output (default
+//                                "epoll" self-hosted, else "external")
 //   --out=PATH                   benchmark file (default BENCH_service.json)
 //
 // Chaos mode (--chaos) turns the harness into a crash-consistency
@@ -74,6 +76,7 @@
 #include "util/epoll.h"
 #include "util/json_writer.h"
 #include "util/socket.h"
+#include "util/string_util.h"
 
 namespace fdx::load {
 namespace {
@@ -107,7 +110,6 @@ struct Config {
   uint16_t port = 0;
   std::string port_file;
   bool self_host = false;
-  IoMode io_mode = IoMode::kEventLoop;
   size_t io_threads = 1;
   size_t workers = 2;
   size_t queue_capacity = 64;
@@ -127,7 +129,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: fdxload (--port=N | --port-file=PATH | --self-host)\n"
-      "               [--io=epoll|threads] [--io-threads=N] [--workers=N]\n"
+      "               [--io-threads=N] [--workers=N]\n"
       "               [--queue-capacity=N] [--cache-capacity=N]\n"
       "               [--clients=N] [--requests=N] [--pipeline=N]\n"
       "               [--discover-pct=P] [--append-pct=P]\n"
@@ -603,9 +605,7 @@ std::string RenderRun(const Config& config, const std::string& label,
   json.Key("aborted");
   json.Bool(aborted);
   json.Key("io_mode");
-  json.String(config.self_host
-                  ? (config.io_mode == IoMode::kEventLoop ? "epoll" : "threads")
-                  : "external");
+  json.String(config.self_host ? "epoll" : "external");
   json.Key("clients");
   json.Integer(static_cast<int64_t>(config.clients));
   json.Key("pipeline_depth");
@@ -666,7 +666,7 @@ std::string RenderRun(const Config& config, const std::string& label,
 }
 
 /// Merges `run_json` into the benchmark file: same-label runs are
-/// replaced, others preserved, so epoll and threads runs accumulate
+/// replaced, others preserved, so differently labelled runs accumulate
 /// into one comparison file.
 bool WriteBenchFile(const std::string& path, const std::string& label,
                     const std::string& run_json) {
@@ -713,54 +713,37 @@ int Main(int argc, char** argv) {
     const auto value = [&arg](const char* prefix) {
       return arg.substr(std::string(prefix).size());
     };
-    if (arg.rfind("--port=", 0) == 0) {
-      config.port = static_cast<uint16_t>(std::atoi(value("--port=").c_str()));
+    // Integer flags: a value that is not an integer in the flag's
+    // range is reported by name before anything starts.
+    Status bad_int = Status::OK();
+    const auto int_flag = [&](const char* name, int64_t min, int64_t max,
+                              auto* out) {
+      return ConsumeIntFlag(arg, name, min, max, out, &bad_int);
+    };
+    constexpr int64_t kMaxThreads = 1024;
+    constexpr int64_t kMaxCount = int64_t{1} << 24;
+    if (int_flag("--port", 0, 65535, &config.port) ||
+        int_flag("--io-threads", 1, kMaxThreads, &config.io_threads) ||
+        int_flag("--workers", 1, kMaxThreads, &config.workers) ||
+        int_flag("--queue-capacity", 0, kMaxCount, &config.queue_capacity) ||
+        int_flag("--cache-capacity", 0, kMaxCount, &config.cache_capacity) ||
+        int_flag("--clients", 1, kMaxCount, &config.clients) ||
+        int_flag("--requests", 1, kMaxCount, &config.requests_per_client) ||
+        int_flag("--pipeline", 1, kMaxCount, &config.pipeline) ||
+        int_flag("--discover-pct", 0, 100, &config.discover_pct) ||
+        int_flag("--append-pct", 0, 100, &config.append_pct) ||
+        int_flag("--chaos-kill-every", 0, kMaxCount,
+                 &config.chaos_kill_every)) {
+      if (!bad_int.ok()) {
+        std::fprintf(stderr, "fdxload: %s\n", bad_int.message().c_str());
+        return Usage();
+      }
     } else if (arg.rfind("--port-file=", 0) == 0) {
       config.port_file = value("--port-file=");
     } else if (arg == "--self-host") {
       config.self_host = true;
-    } else if (arg.rfind("--io=", 0) == 0) {
-      const std::string mode = value("--io=");
-      if (mode == "epoll") {
-        config.io_mode = IoMode::kEventLoop;
-      } else if (mode == "threads") {
-        config.io_mode = IoMode::kThreadPerConnection;
-      } else {
-        std::fprintf(stderr, "fdxload: --io must be epoll or threads\n");
-        return Usage();
-      }
-    } else if (arg.rfind("--io-threads=", 0) == 0) {
-      config.io_threads =
-          static_cast<size_t>(std::atoi(value("--io-threads=").c_str()));
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      config.workers =
-          static_cast<size_t>(std::atoi(value("--workers=").c_str()));
-    } else if (arg.rfind("--queue-capacity=", 0) == 0) {
-      config.queue_capacity =
-          static_cast<size_t>(std::atoi(value("--queue-capacity=").c_str()));
-    } else if (arg.rfind("--cache-capacity=", 0) == 0) {
-      config.cache_capacity =
-          static_cast<size_t>(std::atoi(value("--cache-capacity=").c_str()));
-    } else if (arg.rfind("--clients=", 0) == 0) {
-      config.clients =
-          static_cast<size_t>(std::atoi(value("--clients=").c_str()));
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      config.requests_per_client =
-          static_cast<size_t>(std::atoi(value("--requests=").c_str()));
-    } else if (arg.rfind("--pipeline=", 0) == 0) {
-      config.pipeline =
-          static_cast<size_t>(std::atoi(value("--pipeline=").c_str()));
-    } else if (arg.rfind("--discover-pct=", 0) == 0) {
-      config.discover_pct =
-          static_cast<size_t>(std::atoi(value("--discover-pct=").c_str()));
-    } else if (arg.rfind("--append-pct=", 0) == 0) {
-      config.append_pct =
-          static_cast<size_t>(std::atoi(value("--append-pct=").c_str()));
     } else if (arg == "--chaos") {
       config.chaos = true;
-    } else if (arg.rfind("--chaos-kill-every=", 0) == 0) {
-      config.chaos_kill_every = static_cast<size_t>(
-          std::atoi(value("--chaos-kill-every=").c_str()));
     } else if (arg.rfind("--label=", 0) == 0) {
       config.label = value("--label=");
     } else if (arg.rfind("--out=", 0) == 0) {
@@ -782,7 +765,6 @@ int Main(int argc, char** argv) {
   std::unique_ptr<FdxServer> server;
   if (config.self_host) {
     ServerOptions options;
-    options.io_mode = config.io_mode;
     options.io_threads = config.io_threads;
     options.workers = config.workers;
     options.queue_capacity = config.queue_capacity;
@@ -811,9 +793,7 @@ int Main(int argc, char** argv) {
 
   std::string label = config.label;
   if (label.empty()) {
-    label = config.self_host
-                ? (config.io_mode == IoMode::kEventLoop ? "epoll" : "threads")
-                : "external";
+    label = config.self_host ? "epoll" : "external";
   }
 
   LoadEngine engine(config);
