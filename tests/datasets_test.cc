@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "datasets/real_world.h"
 #include "fd/fd.h"
 
@@ -12,6 +14,10 @@ struct DatasetSpec {
   size_t columns;
   bool exact_rows;
 };
+
+// Without a printer gtest names each case by the raw bytes of the spec, which
+// include the name pointer and padding and so change from run to run.
+void PrintTo(const DatasetSpec& spec, std::ostream* os) { *os << spec.name; }
 
 class DatasetShapeTest : public ::testing::TestWithParam<DatasetSpec> {};
 
