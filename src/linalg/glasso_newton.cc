@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,7 +112,6 @@ Status NewtonAtLambda(const Matrix& sp, double lambda,
     // its gradient escapes the [-lambda, lambda] subdifferential box;
     // the minimum-norm subgradient is zero everywhere else.
     double subgrad_max = 0.0;
-    size_t arg_i = 0, arg_j = 0;
     free_set.clear();
     for (size_t i = 0; i < m; ++i) {
       for (size_t j = i; j < m; ++j) {
@@ -126,22 +123,11 @@ Status NewtonAtLambda(const Matrix& sp, double lambda,
         } else {
           sg = std::max(std::fabs(g) - lambda, 0.0);
         }
-        if (sg > subgrad_max) {
-          subgrad_max = sg;
-          arg_i = i;
-          arg_j = j;
-        }
+        subgrad_max = std::max(subgrad_max, sg);
         if (t != 0.0 || std::fabs(g) > lambda) free_set.emplace_back(i, j);
       }
     }
     out->iterations = iter + 1;
-    if (std::getenv("FDX_NEWTON_DEBUG") != nullptr) {
-      std::fprintf(stderr,
-                   "iter=%zu subgrad=%.3e free=%zu f=%.12f arg=(%zu,%zu) "
-                   "t=%.3e g=%.6e\n",
-                   iter, subgrad_max, free_set.size(), f_cur, arg_i, arg_j,
-                   (*theta)(arg_i, arg_j), sp(arg_i, arg_j) - (*w)(arg_i, arg_j));
-    }
     if (subgrad_max <= stop_tol) return Status::OK();
     // Stall exit: at the solver's numerical floor the subgradient stops
     // improving *and* the accepted steps collapse to rounding noise —
@@ -328,9 +314,6 @@ Status NewtonAtLambda(const Matrix& sp, double lambda,
     if (!accepted) {
       return Status::NumericalError(
           "glasso newton: line search failed to find a descent step");
-    }
-    if (std::getenv("FDX_NEWTON_DEBUG") != nullptr) {
-      std::fprintf(stderr, "  alpha=%.6f descent=%.3e\n", alpha, descent);
     }
     double step_change = 0.0;
     for (size_t i = 0; i < m; ++i) {

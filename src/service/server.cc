@@ -394,38 +394,25 @@ std::string FdxServer::HandleOpen(const JsonValue& request) {
     fdx_options = std::move(parsed).value();
   }
 
-  const std::string storage = request.StringOr("storage", "memory");
-  if (storage != "memory" && storage != "chunked") {
-    return RenderErrorResponse(
-        "open", Status::InvalidArgument("open: unknown storage \"" + storage +
-                                        "\" (want \"memory\" or \"chunked\")"));
-  }
-
   Result<std::shared_ptr<DatasetSession>> session =
       sessions_->Open(std::move(schema).value(), fdx_options);
   if (!session.ok()) return RenderErrorResponse("open", session.status());
 
-  if (storage == "chunked" || durable()) {
-    std::lock_guard<std::mutex> lock(session.value()->mu);
-    if (storage == "chunked") {
-      // Batches land in a chunk store (spilled to disk in durable mode,
-      // in-memory chunks otherwise); snapshots then reference the store
-      // manifest instead of embedding the rows.
-      Result<ChunkedTable> store = ChunkedTable::Create(
-          session.value()->fdx.schema(),
-          durable() ? SessionStoreDir(session.value()->id) : "",
-          options_.store_compression);
-      if (!store.ok()) {
-        sessions_->Close(session.value()->id);
-        return RenderErrorResponse("open", store.status());
-      }
-      session.value()->storage = "chunked";
-      session.value()->store =
-          std::make_unique<ChunkedTable>(std::move(store).value());
-    } else {
-      session.value()->retain_batches = true;
+  if (durable()) {
+    // The rows of a durable session live only in its spilled chunk
+    // store; the manifest starts out labelled with the empty session's
+    // content fingerprint, and the snapshot is written once, here.
+    DatasetSession* opened = session.value().get();
+    std::lock_guard<std::mutex> lock(opened->mu);
+    Result<ChunkedTable> store = ChunkedTable::Create(
+        opened->fdx.schema(), SessionStoreDir(opened->id),
+        options_.store_compression, opened->content.Hex());
+    if (!store.ok()) {
+      sessions_->Close(opened->id);
+      return RenderErrorResponse("open", store.status());
     }
-    if (durable()) PersistSessionLocked(session.value().get());
+    opened->store = std::make_unique<ChunkedTable>(std::move(store).value());
+    PersistSessionLocked(opened);
   }
 
   JsonWriter json;
@@ -436,10 +423,6 @@ std::string FdxServer::HandleOpen(const JsonValue& request) {
   json.String("open");
   json.Key("session");
   json.String(session.value()->id);
-  if (storage != "memory") {
-    json.Key("storage");
-    json.String(storage);
-  }
   json.Key("columns");
   json.Integer(static_cast<int64_t>(session.value()->fdx.schema().size()));
   json.EndObject();
@@ -452,21 +435,16 @@ std::string FdxServer::ApplyAppendLocked(DatasetSession* session, Table batch) {
   session->content.UpdateString("batch");
   UpdateTableFingerprint(&session->content, batch);
   if (session->store != nullptr) {
-    // Chunked session: the store is the durable copy of the rows. A
-    // failed spill degrades durability only (counted like any snapshot
-    // failure); restart-time fingerprint verification then drops the
-    // stale session instead of reviving inconsistent state.
-    if (session->store->AppendBatch(batch).ok()) {
-      if (durable()) PersistSessionLocked(session);
+    // Durable session: the manifest write inside AppendBatch commits the
+    // rows and the new content fingerprint together, before the client
+    // sees ok:true. A failed spill degrades durability only (counted);
+    // restart-time verification then drops the stale session instead of
+    // reviving inconsistent state.
+    if (session->store->AppendBatch(batch, session->content.Hex()).ok()) {
+      snapshot_writes_.fetch_add(1, std::memory_order_relaxed);
     } else {
       snapshot_failures_.fetch_add(1, std::memory_order_relaxed);
     }
-  } else if (session->retain_batches) {
-    // Persist before answering: once the client sees ok:true the batch
-    // must survive a crash (write-temp-then-rename keeps the previous
-    // snapshot intact if this write dies half-way).
-    session->batches_json.push_back(EncodeBatchRows(batch));
-    PersistSessionLocked(session);
   }
 
   JsonWriter json;
@@ -789,6 +767,7 @@ std::string FdxServer::SessionStoreDir(const std::string& id) const {
 Status FdxServer::RestoreState() {
   FDX_ASSIGN_OR_RETURN(std::vector<std::string> names,
                        ListDirectory(SessionsDir()));
+  std::set<std::string> restored_ids;
   for (const std::string& name : names) {
     // Skip leftovers of interrupted atomic writes ("*.json.tmp.<pid>")
     // and anything else that is not a snapshot.
@@ -796,109 +775,29 @@ Status FdxServer::RestoreState() {
       continue;
     }
     const std::string path = SessionsDir() + "/" + name;
-    auto drop = [&](const Status& why) {
+    Result<std::string> restored = RestoreSession(path);
+    if (!restored.ok()) {
+      // The session's store goes with it in the orphan sweep below.
       std::fprintf(stderr, "fdxd: dropping snapshot %s: %s\n", path.c_str(),
-                   why.ToString().c_str());
+                   restored.status().ToString().c_str());
       (void)RemoveFile(path);
       sessions_recovery_failed_.fetch_add(1, std::memory_order_relaxed);
-    };
-    Result<std::string> text = ReadFileToString(path);
-    if (!text.ok()) {
-      drop(text.status());
       continue;
     }
-    Result<SessionSnapshot> snapshot_or = DecodeSessionSnapshot(text.value());
-    if (!snapshot_or.ok()) {
-      drop(snapshot_or.status());
-      continue;
-    }
-    SessionSnapshot snapshot = std::move(snapshot_or).value();
-    if (snapshot.storage == "chunked") {
-      // The rows live in the session's chunk store; Open() verifies
-      // every chunk fingerprint, and the replayed content fingerprint
-      // must reproduce the snapshot's — otherwise the whole session
-      // (snapshot + store) is dropped rather than revived wrong.
-      const std::string store_dir = SessionStoreDir(snapshot.id);
-      auto drop_chunked = [&](const Status& why) {
-        drop(why);
-        (void)RemoveDirectoryRecursive(store_dir);
-      };
-      Result<ChunkedTable> store_or = ChunkedTable::Open(store_dir);
-      if (!store_or.ok()) {
-        drop_chunked(store_or.status());
-        continue;
-      }
-      if (store_or.value().schema().names() != snapshot.schema.names()) {
-        drop_chunked(Status::Internal(
-            "chunk store schema disagrees with the session snapshot"));
-        continue;
-      }
-      Result<std::shared_ptr<DatasetSession>> restored =
-          sessions_->Restore(snapshot.id, snapshot.schema, snapshot.options);
-      if (!restored.ok()) {
-        drop_chunked(restored.status());
-        continue;
-      }
-      DatasetSession* session = restored.value().get();
-      Status replay = Status::OK();
-      {
-        std::lock_guard<std::mutex> lock(session->mu);
-        session->storage = "chunked";
-        for (size_t i = 0; i < store_or.value().num_chunks(); ++i) {
-          Result<Table> batch = store_or.value().ReadChunkValues(i);
-          replay = batch.status();
-          if (!replay.ok()) break;
-          replay = session->fdx.Append(batch.value());
-          if (!replay.ok()) break;
-          session->content.UpdateString("batch");
-          UpdateTableFingerprint(&session->content, batch.value());
-        }
-        if (replay.ok() && session->content.Hex() != snapshot.content_hex) {
-          replay = Status::Internal(
-              "replayed chunks do not reproduce the stored content "
-              "fingerprint");
-        }
-        if (replay.ok()) {
-          session->store =
-              std::make_unique<ChunkedTable>(std::move(store_or).value());
-        }
-      }
-      if (!replay.ok()) {
-        sessions_->Close(snapshot.id);
-        drop_chunked(replay);
-        continue;
-      }
-      sessions_recovered_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Result<std::shared_ptr<DatasetSession>> restored =
-        sessions_->Restore(snapshot.id, snapshot.schema, snapshot.options);
-    if (!restored.ok()) {
-      drop(restored.status());
-      continue;
-    }
-    DatasetSession* session = restored.value().get();
-    bool replayed = true;
-    {
-      std::lock_guard<std::mutex> lock(session->mu);
-      session->retain_batches = true;
-      for (const Table& batch : snapshot.batches) {
-        Status appended = session->fdx.Append(batch);
-        if (!appended.ok()) {
-          replayed = false;
-          break;
-        }
-        session->content.UpdateString("batch");
-        UpdateTableFingerprint(&session->content, batch);
-        session->batches_json.push_back(EncodeBatchRows(batch));
-      }
-    }
-    if (!replayed) {
-      sessions_->Close(snapshot.id);
-      drop(Status::Internal("batch replay failed"));
-      continue;
-    }
+    restored_ids.insert(std::move(restored).value());
     sessions_recovered_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // Stores with no restored session are orphans: dropped sessions, a
+  // crash between creating a store and writing its first snapshot, or
+  // between an eviction's snapshot and store removals.
+  FDX_ASSIGN_OR_RETURN(
+      std::vector<std::string> stores,
+      ListDirectory(StoresDir(), DirectoryEntries::kDirectories));
+  for (const std::string& id : stores) {
+    if (restored_ids.count(id) == 0) {
+      (void)RemoveDirectoryRecursive(SessionStoreDir(id));
+    }
   }
 
   Result<std::string> cache_text = ReadFileToString(CacheSnapshotPath());
@@ -919,11 +818,52 @@ Status FdxServer::RestoreState() {
   return Status::OK();
 }
 
+Result<std::string> FdxServer::RestoreSession(const std::string& path) {
+  FDX_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
+  FDX_ASSIGN_OR_RETURN(SessionSnapshot snapshot, DecodeSessionSnapshot(text));
+  // Open() verifies every chunk fingerprint against the manifest.
+  FDX_ASSIGN_OR_RETURN(ChunkedTable store,
+                       ChunkedTable::Open(SessionStoreDir(snapshot.id)));
+  if (store.schema().names() != snapshot.schema.names()) {
+    return Status::Internal(
+        "chunk store schema disagrees with the session snapshot");
+  }
+  FDX_ASSIGN_OR_RETURN(
+      std::shared_ptr<DatasetSession> session,
+      sessions_->Restore(snapshot.id, snapshot.schema, snapshot.options));
+  Status replay = Status::OK();
+  {
+    std::lock_guard<std::mutex> lock(session->mu);
+    for (size_t i = 0; i < store.num_chunks() && replay.ok(); ++i) {
+      Result<Table> batch = store.ReadChunkValues(i);
+      replay = batch.status();
+      if (replay.ok()) replay = session->fdx.Append(batch.value());
+      if (replay.ok()) {
+        session->content.UpdateString("batch");
+        UpdateTableFingerprint(&session->content, batch.value());
+      }
+    }
+    if (replay.ok() && session->content.Hex() != store.label()) {
+      replay = Status::Internal(
+          "replayed chunks do not reproduce the content fingerprint "
+          "committed in the store manifest");
+    }
+    if (replay.ok()) {
+      session->store = std::make_unique<ChunkedTable>(std::move(store));
+    }
+  }
+  if (!replay.ok()) {
+    sessions_->Close(snapshot.id);
+    return replay;
+  }
+  return snapshot.id;
+}
+
 void FdxServer::PersistSessionLocked(DatasetSession* session) {
   const FdxOptions& options = session->fdx.options();
-  const std::string text = EncodeSessionSnapshot(
-      session->id, session->fdx.schema(), options, CanonicalOptionsKey(options),
-      session->content.Hex(), session->batches_json, session->storage);
+  const std::string text =
+      EncodeSessionSnapshot(session->id, session->fdx.schema(), options,
+                            CanonicalOptionsKey(options));
   if (WriteFileAtomic(SessionSnapshotPath(session->id), text).ok()) {
     snapshot_writes_.fetch_add(1, std::memory_order_relaxed);
   } else {

@@ -61,10 +61,12 @@ struct ServerOptions {
   bool enable_debug_ops = false;
 
   // --- Durability (DESIGN.md §13) ---
-  /// When non-empty, every session is snapshotted here (atomic
-  /// write-temp-then-rename on open/append, deleted on eviction) and
-  /// the result cache is spilled periodically; Start() replays the
-  /// directory, restoring sessions that serve bit-identical results.
+  /// When non-empty, every session is durable: its id, schema and
+  /// options are snapshotted here once at open, its rows spill to a
+  /// chunk store whose atomic manifest write commits each append (both
+  /// deleted on eviction), and the result cache is spilled
+  /// periodically. Start() replays the directory, restoring sessions
+  /// that serve bit-identical results.
   std::string state_dir;
   /// Seconds between result-cache spills in state-dir mode.
   double snapshot_interval_seconds = 5.0;
@@ -87,8 +89,8 @@ struct ServerOptions {
   /// responses as `retry_after`.
   double shed_retry_after_seconds = 0.2;
 
-  /// Chunk payload codec for "chunked" sessions ("" or "none" stores
-  /// raw, "varint" delta-compresses dictionary codes). A server-side
+  /// Chunk payload codec for durable sessions' stores ("" or "none"
+  /// stores raw, "varint" delta-compresses dictionary codes). A server-side
   /// knob rather than a protocol field: fingerprints cover the
   /// uncompressed bytes, so the codec never affects cache keys or
   /// results, only the bytes on disk.
@@ -172,6 +174,8 @@ class FdxServer {
   uint64_t cache_entries_restored() const {
     return cache_entries_restored_.load();
   }
+  /// Durable writes (session snapshots at open, one store commit per
+  /// append, cache spills) that succeeded / failed.
   uint64_t snapshot_writes() const { return snapshot_writes_.load(); }
   uint64_t snapshot_failures() const { return snapshot_failures_.load(); }
 
@@ -209,16 +213,19 @@ class FdxServer {
   std::string SessionsDir() const;
   std::string SessionSnapshotPath(const std::string& id) const;
   std::string CacheSnapshotPath() const;
-  /// Chunk stores of "storage":"chunked" sessions, one directory per
-  /// session id under <state_dir>/stores/.
+  /// Chunk stores of durable sessions, one directory per session id
+  /// under <state_dir>/stores/.
   std::string StoresDir() const;
   std::string SessionStoreDir(const std::string& id) const;
   /// Replays the state directory on startup: restores sessions (or
-  /// deletes + counts unrecoverable snapshots) and re-inserts spilled
-  /// cache entries.
+  /// deletes + counts unrecoverable snapshots), removes chunk stores no
+  /// restored session owns, and re-inserts spilled cache entries.
   Status RestoreState();
-  /// Atomically rewrites one session's snapshot file. Requires the
-  /// session mutex held (the encoded batches live behind it).
+  /// Restores one session from its snapshot file and chunk store;
+  /// returns the session id. On failure nothing stays registered.
+  Result<std::string> RestoreSession(const std::string& snapshot_path);
+  /// Atomically writes one session's snapshot file. Called once, by
+  /// open, with the session mutex held.
   void PersistSessionLocked(DatasetSession* session);
   /// Spills the result cache to its snapshot file.
   void PersistCache();

@@ -33,17 +33,10 @@ struct DatasetSession {
   std::mutex mu;        ///< serializes fdx + content mutations
   IncrementalFdx fdx;   ///< guarded by mu
   Fingerprint content;  ///< guarded by mu; framed per appended batch
-  /// Durability hooks (set by the server when --state-dir is active;
-  /// both guarded by mu). IncrementalFdx folds batches into moments and
-  /// drops the rows, so a crash-safe server keeps each batch's encoded
-  /// rows alongside — the snapshot file is the only place they survive.
-  bool retain_batches = false;
-  std::vector<std::string> batches_json;  ///< EncodeBatchRows per append
-  /// Out-of-core sessions ("storage":"chunked" at open): every appended
-  /// batch also lands in this chunk store, and durability snapshots
-  /// reference the store's manifest instead of embedding the rows.
-  /// Guarded by mu; null for memory sessions.
-  std::string storage = "memory";
+  /// Durable sessions (--state-dir): every appended batch also lands in
+  /// this spilled chunk store, whose manifest commits the batch together
+  /// with `content` — the rows survive only there. Guarded by mu; null
+  /// when the server is not durable (the session then holds no rows).
   std::unique_ptr<ChunkedTable> store;
 };
 

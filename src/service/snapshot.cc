@@ -3,19 +3,20 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "core/ordering.h"
 #include "util/json_parser.h"
 #include "service/protocol.h"
-#include "util/fingerprint.h"
 #include "util/json_writer.h"
 
 namespace fdx {
 
 namespace {
 
-constexpr int kSnapshotVersion = 1;
+/// Version 2 sessions keep their rows in a chunk store; version 1
+/// embedded them as JSON cells and is no longer read.
+constexpr int kSessionSnapshotVersion = 2;
+constexpr int kCacheSnapshotVersion = 1;
 
 std::string ExactDouble(double value) {
   char buf[64];
@@ -226,126 +227,17 @@ Result<FdxOptions> ParseOptionsSnapshot(const JsonValue& json) {
 #undef FDX_SNAP_U64
 #undef FDX_SNAP_BOOL
 
-void WriteCellJson(JsonWriter* json, const Value& cell) {
-  switch (cell.type()) {
-    case ValueType::kNull:
-      json->Null();
-      return;
-    case ValueType::kInt:
-      json->BeginArray();
-      json->String("i");
-      json->String(std::to_string(cell.AsInt()));
-      json->EndArray();
-      return;
-    case ValueType::kDouble:
-      json->BeginArray();
-      json->String("d");
-      json->String(ExactDouble(cell.AsDouble()));
-      json->EndArray();
-      return;
-    case ValueType::kString:
-      json->BeginArray();
-      json->String("s");
-      json->String(cell.AsString());
-      json->EndArray();
-      return;
-  }
-}
-
-Result<Value> ParseCellJson(const JsonValue& cell) {
-  if (cell.is_null()) return Value::Null();
-  if (!cell.is_array() || cell.array().size() != 2 ||
-      !cell.array()[0].is_string() || !cell.array()[1].is_string()) {
-    return Status::InvalidArgument(
-        "snapshot: cell must be null or a [tag, text] pair");
-  }
-  const std::string& tag = cell.array()[0].string_value();
-  const std::string& text = cell.array()[1].string_value();
-  errno = 0;
-  char* end = nullptr;
-  if (tag == "i") {
-    const long long parsed = std::strtoll(text.c_str(), &end, 10);
-    if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-      return Status::InvalidArgument("snapshot: malformed int cell '" + text +
-                                     "'");
-    }
-    return Value(static_cast<int64_t>(parsed));
-  }
-  if (tag == "d") {
-    const double parsed = std::strtod(text.c_str(), &end);
-    if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-      return Status::InvalidArgument("snapshot: malformed double cell '" +
-                                     text + "'");
-    }
-    return Value(parsed);
-  }
-  if (tag == "s") return Value(text);
-  return Status::InvalidArgument("snapshot: unknown cell tag '" + tag + "'");
-}
-
-void WriteBatchRowsJson(JsonWriter* json, const Table& batch) {
-  json->BeginArray();
-  for (size_t r = 0; r < batch.num_rows(); ++r) {
-    json->BeginArray();
-    for (size_t c = 0; c < batch.num_columns(); ++c) {
-      WriteCellJson(json, batch.cell(r, c));
-    }
-    json->EndArray();
-  }
-  json->EndArray();
-}
-
-Result<Table> ParseBatchJson(const JsonValue& rows, const Schema& schema) {
-  if (!rows.is_array()) {
-    return Status::InvalidArgument("snapshot: batch must be an array of rows");
-  }
-  Table batch(schema);
-  for (const JsonValue& row_json : rows.array()) {
-    if (!row_json.is_array() || row_json.array().size() != schema.size()) {
-      return Status::InvalidArgument(
-          "snapshot: row width does not match the schema");
-    }
-    std::vector<Value> row;
-    row.reserve(schema.size());
-    for (const JsonValue& cell_json : row_json.array()) {
-      FDX_ASSIGN_OR_RETURN(Value cell, ParseCellJson(cell_json));
-      row.push_back(std::move(cell));
-    }
-    batch.AppendRow(std::move(row));
-  }
-  return batch;
-}
-
-/// The session fingerprint a live registry would hold after replaying
-/// `batches` (see DatasetSession: seeded with "session", then "batch" +
-/// table fingerprint per append).
-std::string ReplayContentHex(const std::vector<Table>& batches) {
-  Fingerprint content;
-  content.UpdateString("session");
-  for (const Table& batch : batches) {
-    content.UpdateString("batch");
-    UpdateTableFingerprint(&content, batch);
-  }
-  return content.Hex();
-}
-
 }  // namespace
 
-std::string EncodeSessionSnapshot(
-    const std::string& id, const Schema& schema, const FdxOptions& options,
-    const std::string& options_key, const std::string& content_hex,
-    const std::vector<std::string>& batches_json,
-    const std::string& storage) {
+std::string EncodeSessionSnapshot(const std::string& id, const Schema& schema,
+                                  const FdxOptions& options,
+                                  const std::string& options_key) {
   JsonWriter json;
   json.BeginObject();
   json.Key("version");
-  json.Integer(kSnapshotVersion);
+  json.Integer(kSessionSnapshotVersion);
   json.Key("session");
   json.String(id);
-  if (storage != "memory") {
-    json.Key("storage");
-    json.String(storage);
-  }
   json.Key("schema");
   json.BeginArray();
   for (const std::string& name : schema.names()) json.String(name);
@@ -354,30 +246,7 @@ std::string EncodeSessionSnapshot(
   WriteOptionsJson(&json, options);
   json.Key("options_key");
   json.String(options_key);
-  json.Key("content");
-  json.String(content_hex);
   json.EndObject();
-  if (storage != "memory") {
-    // Chunked sessions keep their rows in the chunk store; the snapshot
-    // is a manifest reference, not a copy of the data.
-    return json.TakeString();
-  }
-  // Splice the pre-encoded batch arrays in front of the closing brace;
-  // the key itself needs no escaping.
-  std::string text = json.TakeString();
-  text.pop_back();  // trailing '}'
-  text += ",\"batches\":[";
-  for (size_t b = 0; b < batches_json.size(); ++b) {
-    if (b > 0) text += ',';
-    text += batches_json[b];
-  }
-  text += "]}";
-  return text;
-}
-
-std::string EncodeBatchRows(const Table& batch) {
-  JsonWriter json;
-  WriteBatchRowsJson(&json, batch);
   return json.TakeString();
 }
 
@@ -387,9 +256,11 @@ Result<SessionSnapshot> DecodeSessionSnapshot(const std::string& text) {
     return Status::InvalidArgument("snapshot: document must be an object");
   }
   const int64_t version = static_cast<int64_t>(root.NumberOr("version", 0));
-  if (version != kSnapshotVersion) {
-    return Status::InvalidArgument("snapshot: unsupported version " +
-                                   std::to_string(version));
+  if (version != kSessionSnapshotVersion) {
+    return Status::InvalidArgument(
+        "snapshot: unsupported version " + std::to_string(version) +
+        " (this build reads version " +
+        std::to_string(kSessionSnapshotVersion) + ")");
   }
   SessionSnapshot snapshot;
   snapshot.id = root.StringOr("session", "");
@@ -421,36 +292,6 @@ Result<SessionSnapshot> DecodeSessionSnapshot(const std::string& text) {
         "snapshot: decoded options do not reproduce the stored options key "
         "(codec drift or corrupted file)");
   }
-  snapshot.storage = root.StringOr("storage", "memory");
-  if (snapshot.storage != "memory" && snapshot.storage != "chunked") {
-    return Status::InvalidArgument("snapshot: unknown storage \"" +
-                                   snapshot.storage + "\"");
-  }
-  snapshot.content_hex = root.StringOr("content", "");
-  if (snapshot.storage == "chunked") {
-    // The rows live in the chunk store; the server replays them from
-    // there and verifies the replayed fingerprint against content_hex.
-    if (snapshot.content_hex.empty()) {
-      return Status::InvalidArgument(
-          "snapshot: chunked session missing content fingerprint");
-    }
-    return snapshot;
-  }
-  const JsonValue* batches_json = root.Find("batches");
-  if (batches_json == nullptr || !batches_json->is_array()) {
-    return Status::InvalidArgument("snapshot: missing batches");
-  }
-  snapshot.batches.reserve(batches_json->array().size());
-  for (const JsonValue& batch_json : batches_json->array()) {
-    FDX_ASSIGN_OR_RETURN(Table batch,
-                         ParseBatchJson(batch_json, snapshot.schema));
-    snapshot.batches.push_back(std::move(batch));
-  }
-  if (ReplayContentHex(snapshot.batches) != snapshot.content_hex) {
-    return Status::InvalidArgument(
-        "snapshot: replayed batches do not reproduce the stored content "
-        "fingerprint (corrupted or truncated file)");
-  }
   return snapshot;
 }
 
@@ -459,7 +300,7 @@ std::string EncodeCacheSnapshot(
   JsonWriter json;
   json.BeginObject();
   json.Key("version");
-  json.Integer(kSnapshotVersion);
+  json.Integer(kCacheSnapshotVersion);
   json.Key("entries");
   json.BeginArray();
   for (const auto& [key, payload] : entries) {
@@ -480,7 +321,7 @@ Result<std::vector<std::pair<std::string, std::string>>> DecodeCacheSnapshot(
     return Status::InvalidArgument("cache snapshot: document must be an object");
   }
   const int64_t version = static_cast<int64_t>(root.NumberOr("version", 0));
-  if (version != kSnapshotVersion) {
+  if (version != kCacheSnapshotVersion) {
     return Status::InvalidArgument("cache snapshot: unsupported version " +
                                    std::to_string(version));
   }

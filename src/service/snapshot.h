@@ -11,60 +11,36 @@
 
 namespace fdx {
 
-/// Durable on-disk form of one fdxd session (see DESIGN.md §13). The
-/// codec round-trips everything a discover result depends on — schema,
-/// the full FdxOptions, and the raw batches — so a restarted daemon can
-/// replay the appends and serve bit-identical results.
+/// Durable on-disk form of one fdxd session (see DESIGN.md §13): what a
+/// restarted daemon needs besides the rows — id, schema, the full
+/// FdxOptions, and the canonical options key. The rows live in the
+/// session's chunk store, whose manifest also carries the session's
+/// content fingerprint; the snapshot is written once, at open.
 ///
 /// Encoding rules (all deliberate, all verified on decode):
 ///  - Doubles are JSON *strings* rendered with %.17g. JsonWriter's
-///    Number() is %.12g, which would silently perturb options and cell
-///    values across a restart; strings keep every bit.
+///    Number() is %.12g, which would silently perturb options across a
+///    restart; strings keep every bit.
 ///  - The transform seed (uint64) is a string too — values above 2^53
 ///    do not survive a double round-trip.
-///  - Cells are type-tagged: null, ["i","<int64>"], ["d","<%.17g>"],
-///    ["s",text]. The protocol's JsonCellToValue would re-type an
-///    integral double as an int and change the table fingerprint.
 struct SessionSnapshot {
   std::string id;            ///< registry id, e.g. "s-3"
   Schema schema;
   FdxOptions options;
   std::string options_key;   ///< CanonicalOptionsKey at encode time
-  std::string content_hex;   ///< session fingerprint after all batches
-  std::vector<Table> batches;
-  /// "memory" (default; batches embedded above) or "chunked" (batches
-  /// live in the session's ChunkedTable store directory — the snapshot
-  /// only references them, and the expected content fingerprint is
-  /// verified by the server after replaying the chunks).
-  std::string storage = "memory";
 };
 
-/// Renders one session to its snapshot file contents (single-line
-/// JSON). `batches_json` holds each batch pre-encoded by
-/// EncodeBatchRows — the live server keeps those strings instead of the
-/// row data (IncrementalFdx folds batches into moments and drops the
-/// rows), so the encoder splices rather than re-encodes. With storage
-/// "chunked" no batches are embedded (the chunk store is the durable
-/// copy; pass an empty `batches_json`) and a "storage" key is written;
-/// memory snapshots stay byte-identical to the historical format.
-std::string EncodeSessionSnapshot(
-    const std::string& id, const Schema& schema, const FdxOptions& options,
-    const std::string& options_key, const std::string& content_hex,
-    const std::vector<std::string>& batches_json,
-    const std::string& storage = "memory");
+/// Renders one session to its snapshot file contents (single-line JSON).
+std::string EncodeSessionSnapshot(const std::string& id, const Schema& schema,
+                                  const FdxOptions& options,
+                                  const std::string& options_key);
 
-/// Parses and *verifies* a snapshot: the decoded options must reproduce
-/// the stored canonical options key, and the decoded batches must
-/// reproduce the stored session fingerprint. Any mismatch — codec
-/// drift, truncation, manual edits — fails loudly instead of reviving a
-/// session that would serve different bytes than before the crash.
-/// Chunked snapshots carry no batches; their content verification
-/// happens in the server once the chunk store has been replayed.
+/// Parses and *verifies* a snapshot: the version must be the current
+/// one, and the decoded options must reproduce the stored canonical
+/// options key. Any mismatch — codec drift, truncation, manual edits,
+/// a snapshot from an older release — fails loudly instead of reviving
+/// a session that would serve different bytes than before the crash.
 Result<SessionSnapshot> DecodeSessionSnapshot(const std::string& text);
-
-/// Renders one batch's rows as the type-tagged cell arrays described
-/// above (exposed for the append path, which persists incrementally).
-std::string EncodeBatchRows(const Table& batch);
 
 /// ResultCache spill: (key, payload) pairs, LRU-first so re-inserting
 /// in order reproduces the recency order.

@@ -68,8 +68,8 @@ std::string FingerprintHexOf(const std::string& contents) {
   return FingerprintHexOf(contents.data(), contents.size());
 }
 
-/// Exact-double text, round-trippable (same codec as the service
-/// snapshots: %.17g survives strtod bit-exactly).
+/// Exact-double text, round-trippable (%.17g survives strtod
+/// bit-exactly; the service's options snapshots use the same codec).
 std::string ExactDouble(double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", value);
@@ -77,7 +77,7 @@ std::string ExactDouble(double value) {
 }
 
 /// Type-tagged cell: null | ["i",text] | ["d",text] | ["s",text].
-void WriteCellJson(JsonWriter* json, const Value& cell) {
+void WriteDictionaryValue(JsonWriter* json, const Value& cell) {
   switch (cell.type()) {
     case ValueType::kNull:
       json->Null();
@@ -103,7 +103,7 @@ void WriteCellJson(JsonWriter* json, const Value& cell) {
   }
 }
 
-Result<Value> ParseCellJson(const JsonValue& cell) {
+Result<Value> ParseDictionaryValue(const JsonValue& cell) {
   if (!cell.is_array() || cell.array().size() != 2 ||
       !cell.array()[0].is_string() || !cell.array()[1].is_string()) {
     return Status::IOError("store: dictionary cell must be a [tag, text] pair");
@@ -231,10 +231,12 @@ StoreIo DefaultStoreIo() {
 
 Result<ChunkedTable> ChunkedTable::Create(const Schema& schema,
                                           std::string dir,
-                                          const std::string& codec) {
+                                          const std::string& codec,
+                                          std::string label) {
   ChunkedTable table;
   table.schema_ = schema;
   table.dir_ = std::move(dir);
+  table.label_ = std::move(label);
   table.dicts_.resize(schema.size());
   FDX_ASSIGN_OR_RETURN(table.codec_, FindChunkCodec(codec));
   table.codec_name_ = table.codec_ == nullptr ? "none" : table.codec_->name();
@@ -315,7 +317,7 @@ std::string ChunkedTable::SerializeChunk(
     json.Key("values");
     json.BeginArray();
     for (size_t s = dict_starts[c]; s < dicts_[c].values.size(); ++s) {
-      WriteCellJson(&json, dicts_[c].values[s]);
+      WriteDictionaryValue(&json, dicts_[c].values[s]);
     }
     json.EndArray();
     json.EndObject();
@@ -352,6 +354,10 @@ std::string ChunkedTable::EncodeManifest() const {
     json.Key("codec");
     json.String(codec_name_);
   }
+  if (!label_.empty()) {
+    json.Key("label");
+    json.String(label_);
+  }
   json.Key("total_rows");
   json.Integer(static_cast<int64_t>(total_rows_));
   json.Key("chunks");
@@ -375,7 +381,7 @@ Status ChunkedTable::WriteManifest() const {
   return WriteFileAtomic(dir_ + "/manifest.json", EncodeManifest());
 }
 
-Status ChunkedTable::AppendBatch(const Table& batch) {
+Status ChunkedTable::AppendBatch(const Table& batch, std::string label) {
   const size_t k = schema_.size();
   if (batch.num_columns() != k) {
     return Status::InvalidArgument(
@@ -430,6 +436,7 @@ Status ChunkedTable::AppendBatch(const Table& batch) {
   }
   total_rows_ += chunk.rows;
   chunks_.push_back(std::move(chunk));
+  label_ = std::move(label);
   if (!dir_.empty()) {
     // Manifest is the commit point: a crash between the chunk write and
     // here leaves an orphan file the stale manifest never references.
@@ -772,6 +779,7 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
   table.io_mode_ = DefaultStoreIo();
   table.codec_name_ = root.StringOr("codec", "none");
   FDX_ASSIGN_OR_RETURN(table.codec_, FindChunkCodec(table.codec_name_));
+  table.label_ = root.StringOr("label", "");
   const size_t k = table.schema_.size();
 
   const JsonValue* chunks_json = root.Find("chunks");
@@ -821,7 +829,7 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
                                "' dictionary delta missing values");
       }
       for (const JsonValue& cell : values->array()) {
-        FDX_ASSIGN_OR_RETURN(Value v, ParseCellJson(cell));
+        FDX_ASSIGN_OR_RETURN(Value v, ParseDictionaryValue(cell));
         // Re-encode through the normal path; a fresh value must land on
         // the exact storage code the delta implies.
         std::vector<Value> fresh;

@@ -60,9 +60,10 @@ StoreIo DefaultStoreIo();
 ///
 /// Durable layout under `dir`:
 ///
-///   manifest.json    — schema, total rows, codec, per-chunk {file,
-///                      rows, fingerprint}; rewritten atomically per
-///                      append (O(#chunks), chunk payloads immutable)
+///   manifest.json    — schema, total rows, codec, optional label,
+///                      per-chunk {file, rows, fingerprint}; rewritten
+///                      atomically per append (O(#chunks), chunk
+///                      payloads immutable) — the append's commit point
 ///   chunk-NNNNNN.bin — raw format: magic FDXCHNK1; u64 rows, cols,
 ///                      dict_bytes; column-major i32 storage codes (one
 ///                      column = one contiguous slice); then a JSON
@@ -100,9 +101,10 @@ class ChunkedTable {
   /// directory is created and an empty manifest written immediately.
   /// `codec` names the chunk-payload compression ("" or "none" stores
   /// raw, "varint" delta-compresses dictionary codes); unknown names
-  /// are an error.
+  /// are an error. `label` is stored as by AppendBatch.
   static Result<ChunkedTable> Create(const Schema& schema, std::string dir,
-                                     const std::string& codec = "");
+                                     const std::string& codec = "",
+                                     std::string label = "");
 
   /// Reopens a spilled store, replaying dictionary deltas and verifying
   /// every chunk fingerprint against the manifest. The codec is read
@@ -113,14 +115,19 @@ class ChunkedTable {
   /// schema; zero-row batches are rejected. With a store dir the chunk
   /// file and updated manifest are durable before this returns, and the
   /// chunk's codes are dropped from memory — append I/O is O(chunk)
-  /// plus the O(#chunks) manifest rewrite.
-  Status AppendBatch(const Table& batch);
+  /// plus the O(#chunks) manifest rewrite. `label` is an opaque string
+  /// committed by the same atomic manifest write (the service stores the
+  /// session's content fingerprint there); an empty label omits the key,
+  /// so unlabelled manifests keep their historical bytes.
+  Status AppendBatch(const Table& batch, std::string label = "");
 
   const Schema& schema() const { return schema_; }
   const std::string& dir() const { return dir_; }
   bool spilled() const { return !dir_.empty(); }
   /// Codec name as recorded in the manifest ("none" when raw).
   const std::string& codec() const { return codec_name_; }
+  /// Label committed with the latest append (or Create); "" if none.
+  const std::string& label() const { return label_; }
   StoreIo io_mode() const { return io_mode_; }
   /// Overrides the read path (tests, benches, operators). Chunk I/O
   /// state already established keeps its mode; set before reading.
@@ -213,6 +220,7 @@ class ChunkedTable {
   std::string dir_;
   std::string codec_name_ = "none";
   const ChunkCodec* codec_ = nullptr;  ///< nullptr when raw
+  std::string label_;
   StoreIo io_mode_ = StoreIo::kMmap;
   size_t total_rows_ = 0;
   std::vector<ColumnDictionary> dicts_;

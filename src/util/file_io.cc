@@ -146,7 +146,8 @@ Status RemoveDirectoryRecursive(const std::string& path) {
   return Status::OK();
 }
 
-Result<std::vector<std::string>> ListDirectory(const std::string& path) {
+Result<std::vector<std::string>> ListDirectory(const std::string& path,
+                                               DirectoryEntries kind) {
   std::error_code ec;
   std::filesystem::directory_iterator it(path, ec);
   if (ec) {
@@ -156,7 +157,10 @@ Result<std::vector<std::string>> ListDirectory(const std::string& path) {
   std::vector<std::string> names;
   for (const auto& entry : it) {
     std::error_code type_ec;
-    if (entry.is_regular_file(type_ec) && !type_ec) {
+    const bool wanted = kind == DirectoryEntries::kFiles
+                            ? entry.is_regular_file(type_ec)
+                            : entry.is_directory(type_ec);
+    if (wanted && !type_ec) {
       names.push_back(entry.path().filename().string());
     }
   }

@@ -36,9 +36,13 @@ Status RemoveFile(const std::string& path);
 /// Removes a directory tree; a missing root is not an error.
 Status RemoveDirectoryRecursive(const std::string& path);
 
-/// Names of regular files directly inside `path` (not recursive),
-/// sorted for determinism.
-Result<std::vector<std::string>> ListDirectory(const std::string& path);
+/// Which entries ListDirectory returns.
+enum class DirectoryEntries { kFiles, kDirectories };
+
+/// Names of regular files (or subdirectories) directly inside `path`
+/// (not recursive), sorted for determinism.
+Result<std::vector<std::string>> ListDirectory(
+    const std::string& path, DirectoryEntries kind = DirectoryEntries::kFiles);
 
 /// Resident set size of this process in bytes (Linux /proc/self/statm);
 /// returns 0 when unavailable.

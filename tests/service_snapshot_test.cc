@@ -29,84 +29,39 @@ namespace {
 
 Schema TestSchema() { return Schema({"a", "b", "c"}); }
 
-/// Mixed-type batch: ints, a double that is integral (1e6), a double
-/// needing all 17 digits, a string, and a null — every case the typed
-/// cell codec exists for.
-Table MixedBatch() {
-  Table table(TestSchema());
-  table.AppendRow({Value(int64_t{1}), Value(0.1 + 0.2), Value(std::string("x"))});
-  table.AppendRow({Value(int64_t{2}), Value(1e6), Value::Null()});
-  table.AppendRow({Value(int64_t{3}), Value(-2.5), Value(std::string("y,\"z\""))});
-  return table;
-}
-
-Table IntBatch(int offset) {
-  Table table(TestSchema());
-  for (int i = 0; i < 4; ++i) {
-    table.AppendRow({Value(int64_t{i + offset}), Value(int64_t{2 * (i + offset)}),
-                     Value(int64_t{i % 3})});
-  }
-  return table;
-}
-
 FdxOptions NonDefaultOptions() {
   FdxOptions options;
   options.lambda = 0.123456789012345678;  // needs %.17g to survive
   options.time_budget_seconds = 7.5;
+  options.transform.seed = (uint64_t{1} << 63) + 7;  // beyond 2^53
   return options;
 }
 
-std::string SessionContentHex(const std::vector<Table>& batches) {
-  Fingerprint fp;
-  fp.UpdateString("session");
-  for (const Table& batch : batches) {
-    fp.UpdateString("batch");
-    UpdateTableFingerprint(&fp, batch);
-  }
-  return fp.Hex();
-}
-
-std::string EncodeSession(const std::string& id, const FdxOptions& options,
-                          const std::vector<Table>& batches) {
-  std::vector<std::string> batches_json;
-  for (const Table& batch : batches) {
-    batches_json.push_back(EncodeBatchRows(batch));
-  }
+std::string EncodeSession(const std::string& id, const FdxOptions& options) {
   return EncodeSessionSnapshot(id, TestSchema(), options,
-                               CanonicalOptionsKey(options),
-                               SessionContentHex(batches), batches_json);
+                               CanonicalOptionsKey(options));
 }
 
 TEST(SnapshotCodecTest, SessionRoundTripPreservesEverything) {
-  const std::vector<Table> batches = {MixedBatch(), IntBatch(10)};
   const FdxOptions options = NonDefaultOptions();
-  const std::string text = EncodeSession("s-3", options, batches);
+  const std::string text = EncodeSession("s-3", options);
 
   auto decoded = DecodeSessionSnapshot(text);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->id, "s-3");
   EXPECT_EQ(decoded->schema.names(), TestSchema().names());
   EXPECT_EQ(decoded->options_key, CanonicalOptionsKey(options));
-  EXPECT_EQ(decoded->content_hex, SessionContentHex(batches));
-  EXPECT_DOUBLE_EQ(decoded->options.lambda, options.lambda);
-  EXPECT_DOUBLE_EQ(decoded->options.time_budget_seconds,
-                   options.time_budget_seconds);
-  ASSERT_EQ(decoded->batches.size(), 2u);
-  // Cell-exact replay, including the null and the non-representable
-  // double. The fingerprint equality below is the strong form: the
-  // decoded batches hash to the same content id as the originals, so a
-  // restarted server reconstructs the *identical* session fingerprint.
-  EXPECT_EQ(SessionContentHex(decoded->batches), SessionContentHex(batches));
-  EXPECT_TRUE(decoded->batches[0].cell(1, 2).is_null());
-  EXPECT_EQ(decoded->batches[0].cell(0, 1).AsDouble(), 0.1 + 0.2);
-  // 1e6 must come back as a *double*, not get re-typed to int (that
-  // would change the fingerprint).
-  EXPECT_EQ(decoded->batches[0].cell(1, 1).type(), ValueType::kDouble);
+  EXPECT_EQ(decoded->options.lambda, options.lambda);
+  EXPECT_EQ(decoded->options.time_budget_seconds,
+            options.time_budget_seconds);
+  EXPECT_EQ(decoded->options.transform.seed, options.transform.seed);
+  // Rows are not the snapshot's business: they live in the chunk store
+  // (ChunkedTableTest.ExactValueRoundTrip covers cell exactness).
+  EXPECT_EQ(text.find("\"batches\""), std::string::npos) << text;
 }
 
 TEST(SnapshotCodecTest, TamperedOptionsFailVerification) {
-  const std::string text = EncodeSession("s-1", NonDefaultOptions(),
-                                         {IntBatch(0)});
+  const std::string text = EncodeSession("s-1", NonDefaultOptions());
   // Flip the persisted lambda; the stored options_key no longer matches.
   std::string tampered = text;
   const size_t at = tampered.find("0.12345678901234568");
@@ -116,18 +71,8 @@ TEST(SnapshotCodecTest, TamperedOptionsFailVerification) {
   EXPECT_FALSE(decoded.ok());
 }
 
-TEST(SnapshotCodecTest, TamperedBatchFailsVerification) {
-  const std::string text = EncodeSession("s-1", FdxOptions{}, {IntBatch(0)});
-  std::string tampered = text;
-  const size_t at = tampered.find("[\"i\",\"2\"]");
-  ASSERT_NE(at, std::string::npos);
-  tampered.replace(at, 9, "[\"i\",\"7\"]");
-  auto decoded = DecodeSessionSnapshot(tampered);
-  EXPECT_FALSE(decoded.ok());
-}
-
 TEST(SnapshotCodecTest, TruncatedSnapshotFailsLoudly) {
-  const std::string text = EncodeSession("s-1", FdxOptions{}, {IntBatch(0)});
+  const std::string text = EncodeSession("s-1", FdxOptions{});
   for (const size_t keep : {text.size() / 4, text.size() / 2, text.size() - 2}) {
     auto decoded = DecodeSessionSnapshot(text.substr(0, keep));
     EXPECT_FALSE(decoded.ok()) << "accepted a " << keep << "-byte prefix";

@@ -1,8 +1,9 @@
-// Out-of-core fdxd sessions ("storage":"chunked"): responses must match
-// memory sessions byte-for-byte, durability snapshots reference the
-// chunk-store manifest instead of embedding rows, restarts replay the
-// chunks to bit-identical results, and corrupted stores are dropped
-// loudly instead of revived wrong.
+// Durable fdxd sessions keep their rows only in a spilled chunk store:
+// the session snapshot (written once, at open) holds no rows, the store
+// manifest commits each append together with the session's content
+// fingerprint, restarts replay the chunks to bit-identical results, and
+// corrupted or inconsistent state is dropped loudly instead of revived
+// wrong.
 
 #include <gtest/gtest.h>
 
@@ -65,78 +66,37 @@ class ChunkedSessionTest : public ::testing::Test {
   std::string state_dir_;
 };
 
-TEST_F(ChunkedSessionTest, RejectsUnknownStorage) {
-  FdxServer server{ServerOptions{}};
-  ASSERT_TRUE(server.Start().ok());
-  auto open = Request(
-      server.port(), R"({"op":"open","schema":["a","b"],"storage":"tape"})");
-  ASSERT_TRUE(open.ok());
-  EXPECT_FALSE(JsonValue::Parse(*open)->BoolOr("ok", true)) << *open;
-  EXPECT_NE(open->find("unknown storage"), std::string::npos) << *open;
-  server.Shutdown();
-}
-
-TEST_F(ChunkedSessionTest, ChunkedSessionMatchesMemorySessionByteForByte) {
-  // Non-durable server: chunked sessions work without a state dir (the
-  // store keeps its chunks in memory) and must serve the exact bytes a
-  // memory session serves for the same appends.
-  FdxServer server{ServerOptions{}};
-  ASSERT_TRUE(server.Start().ok());
-  auto open_memory =
-      Request(server.port(), R"({"op":"open","schema":["a","b","c"]})");
-  ASSERT_TRUE(IsOk(open_memory)) << *open_memory;
-  auto open_chunked = Request(
-      server.port(),
-      R"({"op":"open","schema":["a","b","c"],"storage":"chunked"})");
-  ASSERT_TRUE(IsOk(open_chunked)) << *open_chunked;
-  EXPECT_NE(open_chunked->find("\"storage\":\"chunked\""), std::string::npos)
-      << *open_chunked;
-
-  for (const char* session : {"s-1", "s-2"}) {
-    auto a1 = Request(server.port(),
-                      std::string(R"({"op":"append","session":")") + session +
-                          R"(","rows":)" + RowsJson(24, 5) + "}");
-    ASSERT_TRUE(IsOk(a1)) << *a1;
-    auto a2 = Request(server.port(),
-                      std::string(R"({"op":"append","session":")") + session +
-                          R"(","rows":)" + RowsJson(12, 5, 2) + "}");
-    ASSERT_TRUE(IsOk(a2)) << *a2;
-  }
-  auto memory = Request(server.port(), R"({"op":"discover","session":"s-1"})");
-  auto chunked = Request(server.port(), R"({"op":"discover","session":"s-2"})");
-  ASSERT_TRUE(IsOk(memory)) << *memory;
-  ASSERT_TRUE(IsOk(chunked)) << *chunked;
-  EXPECT_EQ(*memory, *chunked);
-  server.Shutdown();
-}
-
 TEST_F(ChunkedSessionTest, SnapshotReferencesStoreInsteadOfEmbeddingRows) {
   FdxServer server(DurableOptions());
   ASSERT_TRUE(server.Start().ok());
-  auto open = Request(
-      server.port(),
-      R"({"op":"open","schema":["a","b","c"],"storage":"chunked"})");
+  auto open =
+      Request(server.port(), R"({"op":"open","schema":["a","b","c"]})");
   ASSERT_TRUE(IsOk(open)) << *open;
+  const std::string snapshot_path = state_dir_ + "/sessions/s-1.json";
+  auto opened_snapshot = ReadFileToString(snapshot_path);
+  ASSERT_TRUE(opened_snapshot.ok());
   auto append =
       Request(server.port(), R"({"op":"append","session":"s-1","rows":)" +
                                  RowsJson(24, 5) + "}");
   ASSERT_TRUE(IsOk(append)) << *append;
 
-  // The chunk store holds the rows...
+  // The chunk store holds the rows, and its manifest commits the
+  // session's content fingerprint with them...
   auto manifest = ReadFileToString(state_dir_ + "/stores/s-1/manifest.json");
   ASSERT_TRUE(manifest.ok());
   EXPECT_NE(manifest->find("\"total_rows\":24"), std::string::npos)
       << *manifest;
+  EXPECT_NE(manifest->find("\"label\":\""), std::string::npos) << *manifest;
   auto chunk = ReadFileToString(state_dir_ + "/stores/s-1/chunk-000000.bin");
   ASSERT_TRUE(chunk.ok());
 
-  // ...and the session snapshot only references them: storage marker
-  // present, no embedded batches.
-  auto snapshot = ReadFileToString(state_dir_ + "/sessions/s-1.json");
+  // ...and the session snapshot holds no rows and is not rewritten by
+  // appends.
+  auto snapshot = ReadFileToString(snapshot_path);
   ASSERT_TRUE(snapshot.ok());
-  EXPECT_NE(snapshot->find("\"storage\":\"chunked\""), std::string::npos)
-      << *snapshot;
+  EXPECT_EQ(*snapshot, *opened_snapshot);
   EXPECT_EQ(snapshot->find("\"batches\""), std::string::npos) << *snapshot;
+  EXPECT_EQ(snapshot->find("\"storage\""), std::string::npos) << *snapshot;
   server.Shutdown();
 }
 
@@ -145,9 +105,8 @@ TEST_F(ChunkedSessionTest, RestartReplaysChunksBitIdentically) {
   {
     FdxServer server(DurableOptions());
     ASSERT_TRUE(server.Start().ok());
-    auto open = Request(
-        server.port(),
-        R"({"op":"open","schema":["a","b","c"],"storage":"chunked"})");
+    auto open =
+        Request(server.port(), R"({"op":"open","schema":["a","b","c"]})");
     ASSERT_TRUE(IsOk(open)) << *open;
     // Mixed appends: rows and CSV (with a null and a type change).
     ASSERT_TRUE(IsOk(Request(server.port(),
@@ -191,9 +150,8 @@ TEST_F(ChunkedSessionTest, CorruptStoreIsDroppedOnRestart) {
   {
     FdxServer server(DurableOptions());
     ASSERT_TRUE(server.Start().ok());
-    ASSERT_TRUE(IsOk(Request(
-        server.port(),
-        R"({"op":"open","schema":["a","b","c"],"storage":"chunked"})")));
+    ASSERT_TRUE(IsOk(
+        Request(server.port(), R"({"op":"open","schema":["a","b","c"]})")));
     ASSERT_TRUE(IsOk(Request(server.port(),
                              R"({"op":"append","session":"s-1","rows":)" +
                                  RowsJson(24, 5) + "}")));
@@ -225,6 +183,231 @@ TEST_F(ChunkedSessionTest, CorruptStoreIsDroppedOnRestart) {
     EXPECT_FALSE(ReadFileToString(victim).ok());
     server.Shutdown();
   }
+}
+
+/// Opens s-1 on a durable server and appends RowsJson(24, 5), then
+/// RowsJson(12, 5, 2). `after_open` / `after_first_append` (may be null)
+/// receive copies of the session snapshot and the store manifest taken
+/// at those points; returns the discover response before shutdown.
+std::string OpenAppendTwiceAndDiscover(const ServerOptions& options,
+                                       const std::string& state_dir,
+                                       std::string* after_open,
+                                       std::string* after_first_append) {
+  FdxServer server(options);
+  EXPECT_TRUE(server.Start().ok());
+  EXPECT_TRUE(IsOk(
+      Request(server.port(), R"({"op":"open","schema":["a","b","c"]})")));
+  if (after_open != nullptr) {
+    auto snapshot = ReadFileToString(state_dir + "/sessions/s-1.json");
+    EXPECT_TRUE(snapshot.ok());
+    if (snapshot.ok()) *after_open = *snapshot;
+  }
+  EXPECT_TRUE(IsOk(Request(server.port(),
+                           R"({"op":"append","session":"s-1","rows":)" +
+                               RowsJson(24, 5) + "}")));
+  if (after_first_append != nullptr) {
+    auto manifest = ReadFileToString(state_dir + "/stores/s-1/manifest.json");
+    EXPECT_TRUE(manifest.ok());
+    if (manifest.ok()) *after_first_append = *manifest;
+  }
+  EXPECT_TRUE(IsOk(Request(server.port(),
+                           R"({"op":"append","session":"s-1","rows":)" +
+                               RowsJson(12, 5, 2) + "}")));
+  auto discover =
+      Request(server.port(), R"({"op":"discover","session":"s-1"})");
+  EXPECT_TRUE(IsOk(discover));
+  server.Shutdown();
+  return discover.ok() ? *discover : "";
+}
+
+// The manifest, not the session snapshot, is the per-append commit
+// point: a snapshot rolled back to its post-open copy (the state a crash
+// between two commit points would leave if the snapshot were one)
+// changes nothing about what the restart recovers.
+TEST_F(ChunkedSessionTest, SnapshotRollbackKeepsAcknowledgedBatches) {
+  std::string after_open;
+  const std::string cold = OpenAppendTwiceAndDiscover(
+      DurableOptions(), state_dir_, &after_open, nullptr);
+  ASSERT_FALSE(cold.empty());
+  ASSERT_TRUE(
+      WriteFileAtomic(state_dir_ + "/sessions/s-1.json", after_open).ok());
+  (void)RemoveFile(state_dir_ + "/cache.json");  // force a re-solve
+
+  FdxServer server(DurableOptions());
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.sessions_recovered(), 1u);
+  EXPECT_EQ(server.sessions_recovery_failed(), 0u);
+  auto warm = Request(server.port(), R"({"op":"discover","session":"s-1"})");
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(*warm, cold);
+  server.Shutdown();
+}
+
+// A manifest rolled back to an earlier commit (a crash after the second
+// chunk file landed but before its manifest write) recovers the session
+// exactly as it was at that commit, and it keeps accepting appends that
+// survive further restarts.
+TEST_F(ChunkedSessionTest, ManifestRollbackRecoversAtCommittedBatch) {
+  std::string first_commit;
+  OpenAppendTwiceAndDiscover(DurableOptions(), state_dir_, nullptr,
+                             &first_commit);
+  ASSERT_TRUE(WriteFileAtomic(state_dir_ + "/stores/s-1/manifest.json",
+                              first_commit)
+                  .ok());
+  (void)RemoveFile(state_dir_ + "/cache.json");
+
+  // Reference: a non-durable session fed batch 1 and the new batch.
+  std::string reference;
+  {
+    FdxServer server{ServerOptions{}};
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_TRUE(IsOk(
+        Request(server.port(), R"({"op":"open","schema":["a","b","c"]})")));
+    for (const std::string& rows : {RowsJson(24, 5), RowsJson(8, 5, 1)}) {
+      ASSERT_TRUE(IsOk(Request(
+          server.port(),
+          R"({"op":"append","session":"s-1","rows":)" + rows + "}")));
+    }
+    auto discover =
+        Request(server.port(), R"({"op":"discover","session":"s-1"})");
+    ASSERT_TRUE(IsOk(discover));
+    reference = *discover;
+    server.Shutdown();
+  }
+
+  std::string recovered;
+  {
+    FdxServer server(DurableOptions());
+    ASSERT_TRUE(server.Start().ok());
+    EXPECT_EQ(server.sessions_recovered(), 1u);
+    EXPECT_EQ(server.sessions_recovery_failed(), 0u);
+    auto append =
+        Request(server.port(), R"({"op":"append","session":"s-1","rows":)" +
+                                   RowsJson(8, 5, 1) + "}");
+    ASSERT_TRUE(IsOk(append)) << *append;
+    // Batch 1 (24 rows) was recovered; batch 2 was not.
+    EXPECT_DOUBLE_EQ(JsonValue::Parse(*append)->NumberOr("total_rows", 0), 32);
+    EXPECT_DOUBLE_EQ(JsonValue::Parse(*append)->NumberOr("batches", 0), 2);
+    auto discover =
+        Request(server.port(), R"({"op":"discover","session":"s-1"})");
+    ASSERT_TRUE(IsOk(discover));
+    recovered = *discover;
+    EXPECT_EQ(recovered, reference);
+    server.Shutdown();
+  }
+  (void)RemoveFile(state_dir_ + "/cache.json");
+  {
+    FdxServer server(DurableOptions());
+    ASSERT_TRUE(server.Start().ok());
+    EXPECT_EQ(server.sessions_recovered(), 1u);
+    EXPECT_EQ(server.sessions_recovery_failed(), 0u);
+    auto discover =
+        Request(server.port(), R"({"op":"discover","session":"s-1"})");
+    ASSERT_TRUE(discover.ok());
+    EXPECT_EQ(*discover, recovered);
+    server.Shutdown();
+  }
+}
+
+TEST_F(ChunkedSessionTest, TamperedManifestLabelDropsSession) {
+  OpenAppendTwiceAndDiscover(DurableOptions(), state_dir_, nullptr, nullptr);
+  const std::string manifest_path = state_dir_ + "/stores/s-1/manifest.json";
+  auto manifest = ReadFileToString(manifest_path);
+  ASSERT_TRUE(manifest.ok());
+  const size_t at = manifest->find("\"label\":\"");
+  ASSERT_NE(at, std::string::npos) << *manifest;
+  std::string tampered = *manifest;
+  char& digit = tampered[at + 9];
+  digit = digit == '0' ? '1' : '0';
+  ASSERT_TRUE(WriteFileAtomic(manifest_path, tampered).ok());
+
+  FdxServer server(DurableOptions());
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.sessions_recovered(), 0u);
+  EXPECT_EQ(server.sessions_recovery_failed(), 1u);
+  auto discover =
+      Request(server.port(), R"({"op":"discover","session":"s-1"})");
+  ASSERT_TRUE(discover.ok());
+  EXPECT_FALSE(JsonValue::Parse(*discover)->BoolOr("ok", true)) << *discover;
+  EXPECT_FALSE(ReadFileToString(state_dir_ + "/sessions/s-1.json").ok());
+  EXPECT_FALSE(ReadFileToString(manifest_path).ok());
+  server.Shutdown();
+}
+
+// Version 1 snapshots embedded the rows as JSON cells. This build does
+// not read them: such a file is dropped and counted, its version named
+// in the log line, and the remaining sessions still restore.
+TEST_F(ChunkedSessionTest, VersionOneSnapshotIsDroppedAndCounted) {
+  {
+    FdxServer server(DurableOptions());
+    ASSERT_TRUE(server.Start().ok());
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(IsOk(
+          Request(server.port(), R"({"op":"open","schema":["a","b","c"]})")));
+    }
+    ASSERT_TRUE(IsOk(Request(server.port(),
+                             R"({"op":"append","session":"s-2","rows":)" +
+                                 RowsJson(24, 5) + "}")));
+    server.Shutdown();
+  }
+  // Rewrite s-1 in the version 1 layout: same header, plus the content
+  // fingerprint and the embedded typed-cell batches.
+  const std::string path = state_dir_ + "/sessions/s-1.json";
+  auto current = ReadFileToString(path);
+  ASSERT_TRUE(current.ok());
+  std::string v1 = *current;
+  const size_t version_at = v1.find("\"version\":2");
+  ASSERT_NE(version_at, std::string::npos) << v1;
+  v1.replace(version_at, 11, "\"version\":1");
+  v1.pop_back();  // trailing '}'
+  v1 += R"(,"content":"00","batches":[[[["i","1"],["i","2"],["s","x"]]]]})";
+  ASSERT_TRUE(WriteFileAtomic(path, v1).ok());
+
+  FdxServer server(DurableOptions());
+  ::testing::internal::CaptureStderr();
+  const Status started = server.Start();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  EXPECT_EQ(server.sessions_recovered(), 1u);
+  EXPECT_EQ(server.sessions_recovery_failed(), 1u);
+  EXPECT_NE(log.find("unsupported version 1"), std::string::npos) << log;
+  EXPECT_FALSE(ReadFileToString(path).ok());
+  EXPECT_FALSE(ReadFileToString(state_dir_ + "/stores/s-1/manifest.json").ok());
+  auto append =
+      Request(server.port(), R"({"op":"append","session":"s-2","rows":)" +
+                                 RowsJson(8, 5) + "}");
+  ASSERT_TRUE(IsOk(append)) << *append;
+  EXPECT_DOUBLE_EQ(JsonValue::Parse(*append)->NumberOr("total_rows", 0), 32);
+  server.Shutdown();
+}
+
+// A store directory with no session snapshot — left by a crash between
+// creating a session's store and writing its snapshot, or between an
+// eviction's two removals — is deleted at startup; owned stores stay.
+TEST_F(ChunkedSessionTest, OrphanStoreIsSweptAtStartup) {
+  {
+    FdxServer server(DurableOptions());
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_TRUE(IsOk(
+        Request(server.port(), R"({"op":"open","schema":["a","b","c"]})")));
+    ASSERT_TRUE(IsOk(Request(server.port(),
+                             R"({"op":"append","session":"s-1","rows":)" +
+                                 RowsJson(24, 5) + "}")));
+    server.Shutdown();
+  }
+  const std::string orphan = state_dir_ + "/stores/s-9";
+  ASSERT_TRUE(EnsureDirectory(orphan).ok());
+  ASSERT_TRUE(WriteFileAtomic(orphan + "/manifest.json", "{}").ok());
+
+  FdxServer server(DurableOptions());
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.sessions_recovered(), 1u);
+  EXPECT_EQ(server.sessions_recovery_failed(), 0u);
+  auto stores = ListDirectory(state_dir_ + "/stores",
+                              DirectoryEntries::kDirectories);
+  ASSERT_TRUE(stores.ok());
+  EXPECT_EQ(*stores, std::vector<std::string>{"s-1"});
+  server.Shutdown();
 }
 
 }  // namespace

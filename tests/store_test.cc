@@ -23,7 +23,9 @@ std::string FreshDir(const std::string& tag) {
 }
 
 /// A mixed-type table exercising every dictionary corner: numeric merge
-/// (int 3 vs double 3.0), signed zero, nulls, strings that look numeric.
+/// (int 3 vs double 3.0), signed zero, nulls, strings that look numeric,
+/// a double needing all 17 digits (0.1 + 0.2), and an integral double
+/// (1e6) that must not come back re-typed as an int.
 Table MixedTable(size_t rows) {
   Table table{Schema({"a", "b", "c"})};
   for (size_t r = 0; r < rows; ++r) {
@@ -45,7 +47,17 @@ Table MixedTable(size_t rows) {
         row[0] = Value::Null();
         break;
     }
-    row[1] = Value(static_cast<int64_t>(r % 7));
+    switch (r % 13) {
+      case 5:
+        row[1] = Value(0.1 + 0.2);
+        break;
+      case 6:
+        row[1] = Value(1e6);
+        break;
+      default:
+        row[1] = Value(static_cast<int64_t>(r % 7));
+        break;
+    }
     row[2] = r % 11 == 0 ? Value::Null()
                          : Value("s" + std::to_string(r % 4));
     table.AppendRow(std::move(row));
@@ -94,15 +106,10 @@ TEST(ChunkedTableTest, TransformCodesMatchEncodeAtEveryChunkSize) {
   }
 }
 
-TEST(ChunkedTableTest, ExactValueRoundTrip) {
-  const Table table = MixedTable(40);
-  auto store = ChunkedTable::Create(table.schema(), "");
-  ASSERT_TRUE(store.ok());
-  AppendInChunks(table, 9, &store.value());
-
+void ExpectExactValues(const Table& table, const ChunkedTable& store) {
   size_t row = 0;
-  for (size_t chunk = 0; chunk < store.value().num_chunks(); ++chunk) {
-    auto values = store.value().ReadChunkValues(chunk);
+  for (size_t chunk = 0; chunk < store.num_chunks(); ++chunk) {
+    auto values = store.ReadChunkValues(chunk);
     ASSERT_TRUE(values.ok());
     for (size_t r = 0; r < values.value().num_rows(); ++r, ++row) {
       for (size_t c = 0; c < table.num_columns(); ++c) {
@@ -124,6 +131,55 @@ TEST(ChunkedTableTest, ExactValueRoundTrip) {
     }
   }
   EXPECT_EQ(row, table.num_rows());
+}
+
+TEST(ChunkedTableTest, ExactValueRoundTrip) {
+  const Table table = MixedTable(40);
+  ASSERT_EQ(table.cell(5, 1).AsDouble(), 0.1 + 0.2);
+  ASSERT_EQ(table.cell(6, 1).type(), ValueType::kDouble);
+  auto store = ChunkedTable::Create(table.schema(), "");
+  ASSERT_TRUE(store.ok());
+  AppendInChunks(table, 9, &store.value());
+  ExpectExactValues(table, store.value());
+
+  // Spilled, the values also cross the chunk files' JSON dictionary
+  // deltas; reopening replays them from disk alone.
+  const std::string dir = FreshDir("exact");
+  {
+    auto spilled = ChunkedTable::Create(table.schema(), dir);
+    ASSERT_TRUE(spilled.ok());
+    AppendInChunks(table, 9, &spilled.value());
+    ExpectExactValues(table, spilled.value());
+  }
+  auto reopened = ChunkedTable::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  ExpectExactValues(table, reopened.value());
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
+TEST(ChunkedTableTest, ManifestLabelSurvivesReopen) {
+  const std::string dir = FreshDir("label");
+  const Table table = MixedTable(20);
+  {
+    auto store = ChunkedTable::Create(table.schema(), dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value().AppendBatch(table, "0123abcd").ok());
+    EXPECT_EQ(store.value().label(), "0123abcd");
+  }
+  auto reopened = ChunkedTable::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  EXPECT_EQ(reopened.value().label(), "0123abcd");
+
+  // An unlabelled append clears the label, and the key leaves the
+  // manifest (unlabelled manifests keep their historical bytes).
+  ASSERT_TRUE(reopened.value().AppendBatch(table).ok());
+  auto manifest = ReadFileToString(dir + "/manifest.json");
+  ASSERT_TRUE(manifest.ok());
+  EXPECT_EQ(manifest->find("\"label\""), std::string::npos) << *manifest;
+  auto unlabelled = ChunkedTable::Open(dir);
+  ASSERT_TRUE(unlabelled.ok());
+  EXPECT_EQ(unlabelled.value().label(), "");
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
 }
 
 TEST(ChunkedTableTest, NumericMergeSharesTransformCodeNotStorageCode) {

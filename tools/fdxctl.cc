@@ -1,7 +1,7 @@
 // fdxctl — command-line client of the fdxd daemon.
 //
 // Subcommands (every one needs --port=N or --port-file=PATH):
-//   open     --schema=a,b,c [--options='{...}'] [--storage=chunked]
+//   open     --schema=a,b,c [--options='{...}']
 //   append   --session=s-1 (--csv-file=PATH | --rows='[[...]]')
 //   discover (--session=s-1 | --csv-file=PATH | --csv-path=PATH
 //             | --table='{...}') [--options='{...}']
@@ -85,7 +85,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: fdxctl <op> --port=N|--port-file=PATH [op flags]\n"
-      "  open     --schema=a,b,c [--options='{...}'] [--storage=chunked]\n"
+      "  open     --schema=a,b,c [--options='{...}']\n"
       "  append   --session=ID (--csv-file=PATH | --rows='[[...]]')\n"
       "  discover (--session=ID | --csv-file=PATH | --csv-path=PATH |\n"
       "            --table='{...}') [--options='{...}']\n"
@@ -149,8 +149,6 @@ Result<std::string> BuildRequest(const std::string& op, const Args& args) {
       first = false;
     }
     request += "]";
-    const std::string storage = args.Get("storage");
-    if (!storage.empty()) request += ",\"storage\":" + Quote(storage);
   } else if (op == "append") {
     const std::string session = args.Get("session");
     if (session.empty()) {

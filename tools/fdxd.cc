@@ -30,9 +30,10 @@
 //   --debug-ops         enable the test-only `sleep` op
 //
 // Robustness flags (DESIGN.md §13):
-//   --state-dir=PATH    durable mode: snapshot sessions + result cache
-//                       under PATH; on startup the daemon replays the
-//                       snapshots and serves bit-identical results
+//   --state-dir=PATH    durable mode: sessions keep their rows in chunk
+//                       stores under PATH (one manifest commit per
+//                       append), the result cache spills there; startup
+//                       replays them and serves bit-identical results
 //   --snapshot-interval=SEC  cache spill period in durable mode (default 5)
 //   --default-deadline=SEC   server-side deadline applied to requests
 //                            that don't send "deadline_seconds" (0 = none)
@@ -40,8 +41,8 @@
 //                       F * queue capacity (0 disables shedding)
 //   --shed-rss-mb=N     shed new discover jobs above N MiB RSS (0 = off)
 //   --shed-retry-after=SEC   retry_after hint on shed responses (default 0.2)
-//   --store-compression=none|varint  chunk payload codec for "chunked"
-//                       sessions; fingerprints cover the uncompressed
+//   --store-compression=none|varint  chunk payload codec for durable
+//                       sessions' stores; fingerprints cover the uncompressed
 //                       bytes, so results and cache keys are unchanged
 //
 // SIGTERM/SIGINT trigger the same graceful drain as a `shutdown`
