@@ -34,6 +34,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -839,21 +840,18 @@ uint64_t DirectoryBytes(const std::string& dir) {
   return total;
 }
 
-/// One transform-mode cell: which read path, which bounded schedule,
-/// which payload codec.
+/// One transform-mode cell: which payload codec the mapped, wave-bounded
+/// read runs over.
 struct OocoreModeSpec {
   const char* name;
-  StoreIo io;
-  BoundedSchedule schedule;
   bool compressed;
 };
 
 constexpr OocoreModeSpec kOocoreModes[] = {
-    {"read_serial_raw", StoreIo::kRead, BoundedSchedule::kSerial, false},
-    {"mmap_serial_raw", StoreIo::kMmap, BoundedSchedule::kSerial, false},
-    {"mmap_wave_raw", StoreIo::kMmap, BoundedSchedule::kWave, false},
-    {"mmap_wave_varint", StoreIo::kMmap, BoundedSchedule::kWave, true},
+    {"mmap_wave_raw", false},
+    {"mmap_wave_varint", true},
 };
+constexpr size_t kNumOocoreModes = std::size(kOocoreModes);
 
 struct OocoreModeCell {
   double transform_seconds = 0.0;
@@ -870,7 +868,7 @@ struct OocoreCase {
   uint64_t store_bytes_varint = 0;
   double chunked_transform_seconds = 0.0;  ///< the mmap_wave_raw mode
   double in_memory_transform_seconds = -1.0;  ///< < 0 means skipped
-  OocoreModeCell modes[4];
+  OocoreModeCell modes[kNumOocoreModes];
   bool bit_identical = true;  ///< every mode matches the reference
   uint64_t peak_rss_bytes = 0;
 };
@@ -952,18 +950,16 @@ int RunOocoreReport(const bench::Flags& flags) {
     cell.ingest_varint_seconds = ingest_watch.ElapsedSeconds();
     cell.store_bytes_varint = DirectoryBytes(store_dir_varint);
 
-    // Transform legs: every (read path, bounded schedule, codec) mode,
-    // decoded columns bounded by --cache-mb. The first mode is the
-    // reference; every other mode must reproduce its bits exactly.
+    // Transform legs: raw and varint payloads, decoded columns bounded
+    // by --cache-mb. The first mode is the reference; every other mode
+    // must reproduce its bits exactly.
     Matrix reference_cov;
-    for (size_t m = 0; m < 4; ++m) {
+    for (size_t m = 0; m < kNumOocoreModes; ++m) {
       const OocoreModeSpec& spec = kOocoreModes[m];
-      ChunkedTable& mode_store = spec.compressed ? store_varint : store;
-      mode_store.set_io_mode(spec.io);
+      const ChunkedTable& mode_store = spec.compressed ? store_varint : store;
       StreamTransformOptions stream;
       stream.transform.threads = threads;
       stream.column_cache_bytes = cache_bytes;
-      stream.bounded_schedule = spec.schedule;
       Stopwatch mode_watch;
       auto moments = StreamTransformMoments(mode_store, stream);
       cell.modes[m].transform_seconds = mode_watch.ElapsedSeconds();
@@ -974,12 +970,10 @@ int RunOocoreReport(const bench::Flags& flags) {
       }
       if (m == 0) {
         reference_cov = moments->cov;
+        cell.chunked_transform_seconds = cell.modes[m].transform_seconds;
       } else {
         cell.modes[m].bit_identical =
             moments->cov.Subtract(reference_cov).MaxAbs() == 0.0;
-      }
-      if (std::strcmp(spec.name, "mmap_wave_raw") == 0) {
-        cell.chunked_transform_seconds = cell.modes[m].transform_seconds;
       }
     }
 
@@ -1008,9 +1002,9 @@ int RunOocoreReport(const bench::Flags& flags) {
   (void)RemoveDirectoryRecursive(work_dir);
 
   bool all_identical = true;
-  ReportTable table({"Rows", "Chunks", "Ingest s", "Rows/s", "Read+serial s",
-                     "Mmap+serial s", "Mmap+wave s", "Wave+varint s",
-                     "In-memory s", "Identical", "Peak RSS MB"});
+  ReportTable table({"Rows", "Chunks", "Ingest s", "Rows/s", "Raw s",
+                     "Varint s", "In-memory s", "Identical",
+                     "Peak RSS MB"});
   for (const OocoreCase& cell : cases) {
     if (!cell.bit_identical) all_identical = false;
     table.AddRow(
@@ -1022,8 +1016,6 @@ int RunOocoreReport(const bench::Flags& flags) {
                            : 0.0),
          bench::Score3(cell.modes[0].transform_seconds),
          bench::Score3(cell.modes[1].transform_seconds),
-         bench::Score3(cell.modes[2].transform_seconds),
-         bench::Score3(cell.modes[3].transform_seconds),
          cell.in_memory_transform_seconds < 0.0
              ? "skipped"
              : bench::Score3(cell.in_memory_transform_seconds),
@@ -1079,7 +1071,7 @@ int RunOocoreReport(const bench::Flags& flags) {
     json.Number(cell.chunked_transform_seconds);
     json.Key("modes");
     json.BeginObject();
-    for (size_t m = 0; m < 4; ++m) {
+    for (size_t m = 0; m < kNumOocoreModes; ++m) {
       json.Key(kOocoreModes[m].name);
       json.BeginObject();
       json.Key("transform_seconds");

@@ -220,15 +220,6 @@ ChunkedTable::~ChunkedTable() = default;
 ChunkedTable::ChunkedTable(ChunkedTable&&) noexcept = default;
 ChunkedTable& ChunkedTable::operator=(ChunkedTable&&) noexcept = default;
 
-StoreIo DefaultStoreIo() {
-  const char* env = std::getenv("FDX_STORE_IO");
-  if (env != nullptr) {
-    if (std::strcmp(env, "read") == 0) return StoreIo::kRead;
-    if (std::strcmp(env, "mmap") == 0) return StoreIo::kMmap;
-  }
-  return StoreIo::kMmap;
-}
-
 Result<ChunkedTable> ChunkedTable::Create(const Schema& schema,
                                           std::string dir,
                                           const std::string& codec,
@@ -240,7 +231,6 @@ Result<ChunkedTable> ChunkedTable::Create(const Schema& schema,
   table.dicts_.resize(schema.size());
   FDX_ASSIGN_OR_RETURN(table.codec_, FindChunkCodec(codec));
   table.codec_name_ = table.codec_ == nullptr ? "none" : table.codec_->name();
-  table.io_mode_ = DefaultStoreIo();
   if (!table.dir_.empty()) {
     FDX_RETURN_IF_ERROR(EnsureDirectory(table.dir_));
     FDX_RETURN_IF_ERROR(table.WriteManifest());
@@ -452,19 +442,16 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
 
   const std::string path = dir_ + "/" + chunk.file;
   auto io = std::make_unique<ChunkIo>();
-  if (io_mode_ == StoreIo::kMmap && !FaultTriggered(kFaultStoreMmap)) {
+  if (!FaultTriggered(kFaultStoreMmap)) {
     Result<MmapFile> mapped = MmapFile::Open(path);
     if (mapped.ok()) {
       io->map = std::move(mapped).value();
       io->use_mmap = true;
       io->file_size = io->map.size();
-    } else {
-      ++mmap_fallbacks_;
     }
-  } else if (io_mode_ == StoreIo::kMmap) {
-    ++mmap_fallbacks_;  // fault point counts like a real map failure
   }
   if (!io->use_mmap) {
+    ++mmap_fallbacks_;  // the fault point counts like a real map failure
     io->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (io->fd < 0) {
       return Status::IOError("store: cannot open chunk '" + path +
@@ -533,26 +520,25 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
                            "' shape disagrees with the manifest");
   }
 
-  // First-touch verification (mmap mode): fingerprint the uncompressed
-  // serialization before trusting any mapped bytes, then drop the pages
-  // the check touched. The pread fallback keeps the original contract —
-  // full verification on ReadChunkValues/Open, range checks on column
-  // reads.
-  if (io->use_mmap) {
-    std::string actual;
-    if (io->compressed) {
-      std::string v1_payload;
-      FDX_RETURN_IF_ERROR(ReconstructRawPayload(index, *io, &v1_payload));
-      actual = FingerprintHexOf(v1_payload);
-    } else {
-      actual = FingerprintHexOf(io->map.data(), io->map.size());
-    }
-    if (actual != chunk.fingerprint_hex) {
-      return Status::IOError("store: chunk '" + path +
-                             "' fingerprint mismatch (corrupt store)");
-    }
-    io->map.AdviseDontNeed(0, io->map.size());
+  // First-touch verification: fingerprint the uncompressed serialization
+  // before trusting any chunk bytes — mapped or read — then drop the
+  // pages the check touched.
+  std::string payload;
+  if (io->compressed) {
+    FDX_RETURN_IF_ERROR(ReconstructRawPayload(index, *io, &payload));
+  } else if (!io->use_mmap) {
+    payload.resize(io->file_size);
+    FDX_RETURN_IF_ERROR(io->ReadAt(0, io->file_size, payload.data(), path));
   }
+  const std::string actual = io->use_mmap && !io->compressed
+                                 ? FingerprintHexOf(io->map.data(),
+                                                    io->map.size())
+                                 : FingerprintHexOf(payload);
+  if (actual != chunk.fingerprint_hex) {
+    return Status::IOError("store: chunk '" + path +
+                           "' fingerprint mismatch (corrupt store)");
+  }
+  io->DropRange(0, io->file_size);
 
   chunk.io = std::move(io);
   return chunk.io.get();
@@ -776,7 +762,6 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
   table.schema_ = Schema(std::move(names));
   table.dir_ = std::move(dir);
   table.dicts_.resize(table.schema_.size());
-  table.io_mode_ = DefaultStoreIo();
   table.codec_name_ = root.StringOr("codec", "none");
   FDX_ASSIGN_OR_RETURN(table.codec_, FindChunkCodec(table.codec_name_));
   table.label_ = root.StringOr("label", "");

@@ -16,27 +16,6 @@ namespace fdx {
 
 class ChunkCodec;
 
-/// How spilled chunk payloads are read back.
-///
-///  * kMmap (default): chunk files are memory-mapped once per chunk and
-///    column slices are decoded straight out of the page cache, with
-///    `madvise(SEQUENTIAL)` on map and `madvise(DONTNEED)` after each
-///    slice so a bounded-memory scan never accumulates mapped residency.
-///    The mapped bytes are fingerprint-verified on first touch. If the
-///    map cannot be established (or the `store.mmap` fault point fires)
-///    the store falls back to the read path for that chunk and counts
-///    the fallback.
-///  * kRead: the PR 9 pread(2) path, kept as a bit-identical fallback.
-///
-/// The `FDX_STORE_IO` environment variable (`mmap` or `read`) overrides
-/// the default for newly created/opened stores; `set_io_mode` overrides
-/// it programmatically. Both paths produce identical bytes.
-enum class StoreIo { kMmap, kRead };
-
-/// Resolves the process-wide default read path: `FDX_STORE_IO` if set
-/// to a recognized value, otherwise kMmap.
-StoreIo DefaultStoreIo();
-
 /// Out-of-core columnar table: rows arrive in batches, each batch is
 /// dictionary-encoded against an *incremental* dictionary (codes are
 /// stable across chunks — appending never renumbers anything) and kept
@@ -79,6 +58,15 @@ StoreIo DefaultStoreIo();
 /// Open() replays the dictionary deltas in chunk order and verifies
 /// every chunk's fingerprint, so a reopened store either matches the
 /// writer's state exactly or fails loudly.
+///
+/// Spilled chunks are read back through one path: each chunk file is
+/// memory-mapped once and column slices are decoded straight out of the
+/// page cache, with `madvise(SEQUENTIAL)` on map and `madvise(DONTNEED)`
+/// after each slice so a bounded-memory scan never accumulates mapped
+/// residency. If the map cannot be established (or the `store.mmap`
+/// fault point fires) that chunk is read with pread(2) instead and the
+/// fallback is counted. Either way the chunk is fingerprint-verified on
+/// first touch, before any of its codes are served.
 ///
 /// Appends are single-writer (callers serialize them; the service wraps
 /// a store in its per-session mutex). Reads — ReadColumnCodes and
@@ -128,17 +116,12 @@ class ChunkedTable {
   const std::string& codec() const { return codec_name_; }
   /// Label committed with the latest append (or Create); "" if none.
   const std::string& label() const { return label_; }
-  StoreIo io_mode() const { return io_mode_; }
-  /// Overrides the read path (tests, benches, operators). Chunk I/O
-  /// state already established keeps its mode; set before reading.
-  void set_io_mode(StoreIo mode) { io_mode_ = mode; }
   /// Times a chunk map failed (or was failed by the `store.mmap` fault
-  /// point) and the read path was used instead.
+  /// point) and pread was used for that chunk instead.
   uint64_t mmap_fallbacks() const;
   size_t num_rows() const { return total_rows_; }
   size_t num_columns() const { return schema_.size(); }
   size_t num_chunks() const { return chunks_.size(); }
-  size_t ChunkRowCount(size_t chunk) const { return chunks_[chunk].rows; }
   const std::string& ChunkFingerprintHex(size_t chunk) const {
     return chunks_[chunk].fingerprint_hex;
   }
@@ -221,7 +204,6 @@ class ChunkedTable {
   std::string codec_name_ = "none";
   const ChunkCodec* codec_ = nullptr;  ///< nullptr when raw
   std::string label_;
-  StoreIo io_mode_ = StoreIo::kMmap;
   size_t total_rows_ = 0;
   std::vector<ColumnDictionary> dicts_;
   std::vector<StoredChunk> chunks_;

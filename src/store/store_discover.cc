@@ -14,7 +14,6 @@ Result<FdxResult> DiscoverFromStore(const ChunkedTable& table,
         stream.transform = transform;
         stream.column_cache_bytes = options.column_cache_bytes;
         stream.rss_limit_bytes = options.rss_limit_bytes;
-        stream.bounded_schedule = options.bounded_schedule;
         return StreamTransformMoments(table, stream);
       });
 }

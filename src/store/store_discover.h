@@ -17,8 +17,6 @@ struct StoreDiscoverOptions {
   uint64_t column_cache_bytes = 0;
   /// Process-RSS ceiling; a breach returns kUnavailable. 0 disables.
   uint64_t rss_limit_bytes = 0;
-  /// Pass schedule when the cache budget binds (see stream_transform.h).
-  BoundedSchedule bounded_schedule = BoundedSchedule::kWave;
 };
 
 /// FdxDiscoverer::Discover over a ChunkedTable: streaming pair transform

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,71 +18,14 @@
 namespace fdx {
 namespace {
 
-/// LRU cache of decoded transform-code columns. Only the serial
-/// (memory-bounded) path uses it; capacity is in whole columns and at
-/// least two (each pass needs the sort column and the pack column
-/// alive at once).
-class ColumnCache {
- public:
-  ColumnCache(const ChunkedTable* table, size_t capacity)
-      : table_(table), capacity_(capacity) {}
-
-  /// Returns the column's codes, loading (and possibly evicting) as
-  /// needed. The pointer stays valid until the next Get.
-  Result<const std::vector<int32_t>*> Get(size_t col) {
-    auto it = entries_.find(col);
-    if (it != entries_.end()) {
-      lru_.erase(it->second.pos);
-      lru_.push_front(col);
-      it->second.pos = lru_.begin();
-      return &it->second.codes;
-    }
-    if (entries_.size() >= capacity_) {
-      entries_.erase(lru_.back());
-      lru_.pop_back();
-    }
-    Entry entry;
-    FDX_RETURN_IF_ERROR(table_->ReadColumnCodes(col, &entry.codes));
-    lru_.push_front(col);
-    entry.pos = lru_.begin();
-    return &entries_.emplace(col, std::move(entry)).first->second.codes;
-  }
-
- private:
-  struct Entry {
-    std::vector<int32_t> codes;
-    std::list<size_t>::iterator pos;
-  };
-
-  const ChunkedTable* table_;
-  size_t capacity_;
-  std::list<size_t> lru_;  ///< front = most recently used
-  std::unordered_map<size_t, Entry> entries_;
-};
-
-/// Shape validation (the in-memory check itself, so both engines reject
-/// with the same message) + the canonical randomness preamble.
-Status PrepareStream(const ChunkedTable& table,
-                     const StreamTransformOptions& options,
-                     std::vector<uint32_t>* shuffled,
-                     std::vector<uint64_t>* attr_seeds) {
-  const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
-  FDX_RETURN_IF_ERROR(CheckTransformShape(n, k));
-  PrepareTransformStreams(options.transform.seed, n, k, shuffled, attr_seeds);
-  return Status::OK();
-}
-
-/// Resident columns per the cache budget: everything when unbounded,
-/// otherwise at least two, at most all of them.
-size_t CacheCapacity(const StreamTransformOptions& options, size_t n,
-                     size_t k) {
-  if (options.column_cache_bytes == 0) return k;
-  const uint64_t per_column = static_cast<uint64_t>(n) * sizeof(int32_t);
-  const uint64_t fit =
-      per_column == 0 ? k : options.column_cache_bytes / per_column;
-  return static_cast<size_t>(
-      std::min<uint64_t>(k, std::max<uint64_t>(2, fit)));
+/// Whether every decoded column fits the cache budget at once (always,
+/// when unbounded) — the test that picks the resident pass loop over
+/// waves.
+bool AllColumnsFit(const StreamTransformOptions& options, size_t n,
+                   size_t k) {
+  return options.column_cache_bytes == 0 ||
+         static_cast<uint64_t>(n) * k * sizeof(int32_t) <=
+             options.column_cache_bytes;
 }
 
 Status CheckRssCeiling(const StreamTransformOptions& options,
@@ -183,70 +124,6 @@ size_t WaveSize(const StreamTransformOptions& options, size_t n, size_t k) {
       std::min<uint64_t>(k, std::max<uint64_t>(1, fit)));
 }
 
-/// The serial schedule of the memory-bounded path, kept as the
-/// reference the wave schedule is checked against: one attribute pass
-/// at a time (sort, pack, popcount) over an LRU cache of `capacity`
-/// decoded columns. Same kernels, same integer arithmetic as every
-/// other schedule; only the I/O order differs.
-Status AccumulateSerial(const ChunkedTable& table,
-                        const StreamTransformOptions& options,
-                        const std::vector<uint32_t>& shuffled,
-                        const std::vector<uint64_t>& attr_seeds,
-                        size_t capacity, std::vector<uint64_t>* counts,
-                        std::vector<uint64_t>* co_counts, size_t* total,
-                        std::vector<Matrix>* pass_cov,
-                        std::mutex* profile_mu) {
-  const size_t k = table.num_columns();
-  const Deadline* deadline = options.transform.deadline;
-  ColumnCache cache(&table, capacity);
-  AttributePass pass;
-  BitMatrix bits;
-  PackScratch scratch;
-  StageTimes times;
-  Stopwatch watch;
-  std::vector<uint64_t> pass_counts(k, 0);
-  std::vector<uint64_t> pass_co_counts(k * k, 0);
-  for (size_t attr = 0; attr < k; ++attr) {
-    if (deadline != nullptr && deadline->Expired()) {
-      return Status::Timeout("pair transform: time budget exhausted");
-    }
-    FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
-
-    watch.Reset();
-    {
-      FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes, cache.Get(attr));
-      pass.Reset(*codes, table.Cardinality(attr), shuffled,
-                 options.transform.max_pairs_per_attribute, attr_seeds[attr]);
-    }
-    times.sort += watch.ElapsedSeconds();
-
-    watch.Reset();
-    bits.Reset(pass.num_pairs(), k);
-    for (size_t col = 0; col < k; ++col) {
-      FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes, cache.Get(col));
-      ColumnBitWriter writer(bits.column_words(col));
-      AppendPassColumnBits(*codes, pass, &writer, &scratch);
-      writer.Flush();
-    }
-    times.pack += watch.ElapsedSeconds();
-
-    watch.Reset();
-    std::fill(pass_counts.begin(), pass_counts.end(), 0);
-    std::fill(pass_co_counts.begin(), pass_co_counts.end(), 0);
-    bits.AccumulateMoments(pass_counts.data(), pass_co_counts.data());
-    for (size_t c = 0; c < k; ++c) (*counts)[c] += pass_counts[c];
-    for (size_t c = 0; c < k * k; ++c) (*co_counts)[c] += pass_co_counts[c];
-    *total += pass.num_pairs();
-    times.accumulate += watch.ElapsedSeconds();
-    if (pass_cov != nullptr && pass.num_pairs() > 0) {
-      (*pass_cov)[attr] = PassCovarianceFromCounts(
-          pass_counts.data(), pass_co_counts.data(), k, pass.num_pairs());
-    }
-  }
-  times.MergeInto(options.transform.profile, profile_mu);
-  return Status::OK();
-}
-
 /// The wave schedule of the memory-bounded path. Passes are grouped
 /// into waves sized by WaveSize; per wave:
 ///
@@ -256,23 +133,27 @@ Status AccumulateSerial(const ChunkedTable& table,
 ///   2. pack — every column streams through once and is appended into
 ///      all of the wave's bit matrices concurrently (passes are
 ///      independent, so the fan-out is over passes, each chunk with its
-///      own gather scratch). One decode per column per wave, versus one
-///      per column per *pass* on the serial schedule.
+///      own gather scratch). One decode per column per wave, not one
+///      per column per pass.
 ///   3. accumulate — per-pass popcounts run in parallel into per-pass
 ///      integer buffers, then merge serially in attribute order.
 ///
 /// Counts are integers (commutative merges) and pooled pass covariances
 /// land in per-attribute slots reduced in attribute order, so the
-/// result is bit-identical to the serial schedule at any thread count.
+/// result is bit-identical to the in-memory transform at any thread
+/// count and wave size.
 Status AccumulateWaves(const ChunkedTable& table,
                        const StreamTransformOptions& options,
                        const std::vector<uint32_t>& shuffled,
                        const std::vector<uint64_t>& attr_seeds,
                        std::vector<uint64_t>* counts,
                        std::vector<uint64_t>* co_counts, size_t* total,
-                       std::vector<Matrix>* pass_cov, std::mutex* profile_mu) {
+                       std::vector<Matrix>* pass_cov) {
   const size_t k = table.num_columns();
   const size_t n = table.num_rows();
+  counts->assign(k, 0);
+  co_counts->assign(k * k, 0);
+  *total = 0;
   const size_t wave = WaveSize(options, n, k);
   const size_t threads = ResolveThreadCount(options.transform.threads);
   const bool async = threads > 1 && ThreadPool::Shared().size() > 0;
@@ -362,17 +243,20 @@ Status AccumulateWaves(const ChunkedTable& table,
     }
     times.accumulate += watch.ElapsedSeconds();
   }
-  times.MergeInto(options.transform.profile, profile_mu);
+  std::mutex profile_mu;
+  times.MergeInto(options.transform.profile, &profile_mu);
+  if (*total == 0) {
+    return Status::InvalidArgument("pair transform produced no samples");
+  }
   return Status::OK();
 }
 
-/// Accumulates every attribute pass of a ChunkedTable. With every
-/// column resident it decodes them once and hands them to the in-memory
-/// engine's own pass loop (AccumulatePasses); under a cache budget the
-/// bounded schedule (waves by default, the serial LRU loop as the
-/// reference) takes over. Counts are integers merged commutatively and
-/// pooled pass covariances are stored per attribute, so every schedule
-/// produces the same bits.
+/// Accumulates every attribute pass of a ChunkedTable. When every
+/// decoded column fits the budget it decodes them once and hands them
+/// to the in-memory engine's own pass loop (AccumulatePasses);
+/// otherwise the passes run in waves. Counts are integers merged
+/// commutatively and pooled pass covariances are stored per attribute,
+/// so both paths produce the same bits.
 Status AccumulateStream(const ChunkedTable& table,
                         const StreamTransformOptions& options,
                         const std::vector<uint32_t>& shuffled,
@@ -381,60 +265,35 @@ Status AccumulateStream(const ChunkedTable& table,
                         std::vector<uint64_t>* co_counts, size_t* total,
                         std::vector<Matrix>* pass_cov) {
   const size_t k = table.num_columns();
-  const size_t n = table.num_rows();
-  const size_t capacity = CacheCapacity(options, n, k);
-
-  if (capacity >= k) {
-    std::vector<std::vector<int32_t>> columns(k);
-    std::vector<size_t> cardinalities(k);
-    for (size_t c = 0; c < k; ++c) {
-      FDX_RETURN_IF_ERROR(table.ReadColumnCodes(c, &columns[c]));
-      cardinalities[c] = table.Cardinality(c);
-    }
-    FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
-    return AccumulatePasses(columns, cardinalities, shuffled, attr_seeds,
-                            options.transform, counts, co_counts, total,
-                            pass_cov);
+  if (!AllColumnsFit(options, table.num_rows(), k)) {
+    return AccumulateWaves(table, options, shuffled, attr_seeds, counts,
+                           co_counts, total, pass_cov);
   }
-
-  counts->assign(k, 0);
-  co_counts->assign(k * k, 0);
-  *total = 0;
-  std::mutex profile_mu;
-  FDX_RETURN_IF_ERROR(
-      options.bounded_schedule == BoundedSchedule::kWave
-          ? AccumulateWaves(table, options, shuffled, attr_seeds, counts,
-                            co_counts, total, pass_cov, &profile_mu)
-          : AccumulateSerial(table, options, shuffled, attr_seeds, capacity,
-                             counts, co_counts, total, pass_cov,
-                             &profile_mu));
-  if (*total == 0) {
-    return Status::InvalidArgument("pair transform produced no samples");
+  std::vector<std::vector<int32_t>> columns(k);
+  std::vector<size_t> cardinalities(k);
+  for (size_t c = 0; c < k; ++c) {
+    FDX_RETURN_IF_ERROR(table.ReadColumnCodes(c, &columns[c]));
+    cardinalities[c] = table.Cardinality(c);
   }
-  return Status::OK();
+  FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));
+  return AccumulatePasses(columns, cardinalities, shuffled, attr_seeds,
+                          options.transform, counts, co_counts, total,
+                          pass_cov);
 }
 
 }  // namespace
 
-Result<TransformCounts> StreamTransformCounts(
-    const ChunkedTable& table, const StreamTransformOptions& options) {
-  std::vector<uint32_t> shuffled;
-  std::vector<uint64_t> attr_seeds;
-  FDX_RETURN_IF_ERROR(PrepareStream(table, options, &shuffled, &attr_seeds));
-  TransformCounts out;
-  FDX_RETURN_IF_ERROR(AccumulateStream(table, options, shuffled, attr_seeds,
-                                       &out.counts, &out.co_counts,
-                                       &out.num_samples,
-                                       /*pass_cov=*/nullptr));
-  return out;
-}
-
 Result<TransformedMoments> StreamTransformMoments(
     const ChunkedTable& table, const StreamTransformOptions& options) {
   const size_t k = table.num_columns();
+  const size_t n = table.num_rows();
+  // Shape validation is the in-memory check itself, so both engines
+  // reject with the same message; then the canonical randomness preamble.
+  FDX_RETURN_IF_ERROR(CheckTransformShape(n, k));
   std::vector<uint32_t> shuffled;
   std::vector<uint64_t> attr_seeds;
-  FDX_RETURN_IF_ERROR(PrepareStream(table, options, &shuffled, &attr_seeds));
+  PrepareTransformStreams(options.transform.seed, n, k, &shuffled,
+                          &attr_seeds);
   std::vector<Matrix> pass_cov;
   if (options.transform.pooled_covariance) pass_cov.assign(k, Matrix());
   std::vector<uint64_t> counts;

@@ -43,18 +43,18 @@ inline constexpr char kFaultSeqLassoColumn[] = "seqlasso.column";
 inline constexpr char kFaultCsvRead[] = "csv.read";
 inline constexpr char kFaultServiceAccept[] = "service.accept";
 inline constexpr char kFaultServiceEnqueue[] = "service.enqueue";
+/// Chunk-store I/O points. `store.mmap` fails the attempt to map a
+/// chunk file (that chunk is read with pread instead and the fallback is
+/// counted); `store.decompress` fails a chunk-payload decompression (no
+/// fallback exists — the error surfaces loudly).
+inline constexpr char kFaultStoreMmap[] = "store.mmap";
+inline constexpr char kFaultStoreDecompress[] = "store.decompress";
 /// Socket-level chaos points (see util/socket.cc). Short reads/writes
 /// clamp one transfer to a single byte; `socket.write.eagain` reports a
 /// spurious would-block to non-blocking writers; `conn.drop` makes the
 /// operation behave as if the peer vanished (reset/EOF). Prefer the
 /// `:N%` schedule for the sustained modes — an always-firing EAGAIN
 /// never lets a writer make progress.
-/// Chunk-store I/O points. `store.mmap` fails the attempt to map a
-/// chunk file (the store falls back to the pread path and counts the
-/// fallback); `store.decompress` fails a chunk-payload decompression
-/// (no fallback exists — the error surfaces loudly).
-inline constexpr char kFaultStoreMmap[] = "store.mmap";
-inline constexpr char kFaultStoreDecompress[] = "store.decompress";
 inline constexpr char kFaultSocketReadShort[] = "socket.read.short";
 inline constexpr char kFaultSocketWriteShort[] = "socket.write.short";
 inline constexpr char kFaultSocketWriteEagain[] = "socket.write.eagain";

@@ -16,6 +16,7 @@
 #include "store/chunked_table.h"
 #include "store/store_discover.h"
 #include "store/stream_transform.h"
+#include "util/fault_injection.h"
 #include "util/file_io.h"
 #include "util/stopwatch.h"
 
@@ -126,7 +127,8 @@ TEST(StoreEquivalenceTest, BoundedCacheDoesNotChangeResults) {
   auto store = ChunkedTable::Create(table.schema(), "");
   ASSERT_TRUE(store.ok());
   AppendInChunks(table, 57, &store.value());
-  // 2-column cache: forces the serial LRU path with constant reloads.
+  // 2-column cache: forces waves of one pass, each re-decoding every
+  // column.
   StreamTransformOptions stream;
   stream.column_cache_bytes = 2 * 400 * sizeof(int32_t);
   auto streamed = StreamTransformMoments(store.value(), stream);
@@ -135,8 +137,9 @@ TEST(StoreEquivalenceTest, BoundedCacheDoesNotChangeResults) {
 }
 
 TEST(StoreEquivalenceTest, IoModeAndCodecGridIdentical) {
-  // The full storage matrix: raw vs varint payloads crossed with mmap
-  // vs pread reads, at degenerate and huge chunk sizes, every cell
+  // The full storage matrix: raw vs varint payloads crossed with mapped
+  // reads vs the pread fallback (every map failed by the `store.mmap`
+  // fault point), at degenerate and huge chunk sizes, every cell
   // bit-identical to the in-memory transform.
   const Table table = FdTable(300);
   auto memory = PairTransformMoments(table, {});
@@ -153,15 +156,21 @@ TEST(StoreEquivalenceTest, IoModeAndCodecGridIdentical) {
         ASSERT_TRUE(store.ok());
         AppendInChunks(table, chunk_rows, &store.value());
       }
-      for (StoreIo io : {StoreIo::kMmap, StoreIo::kRead}) {
+      for (bool fallback : {false, true}) {
+        if (fallback) {
+          ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+        }
         auto store = ChunkedTable::Open(dir);
-        ASSERT_TRUE(store.ok()) << store.status().message();
-        store.value().set_io_mode(io);
-        auto streamed = StreamTransformMoments(store.value(), {});
+        Result<TransformedMoments> streamed =
+            store.ok() ? StreamTransformMoments(store.value(), {})
+                       : Result<TransformedMoments>(store.status());
+        DisarmFaults();
         ASSERT_TRUE(streamed.ok())
             << chunk_rows << "/" << codec << "/"
-            << (io == StoreIo::kMmap ? "mmap" : "read") << ": "
+            << (fallback ? "pread" : "mmap") << ": "
             << streamed.status().message();
+        EXPECT_EQ(store.value().mmap_fallbacks(),
+                  fallback ? store.value().num_chunks() : 0u);
         ExpectMomentsIdentical(memory.value(), streamed.value());
       }
       ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
@@ -169,11 +178,32 @@ TEST(StoreEquivalenceTest, IoModeAndCodecGridIdentical) {
   }
 }
 
-TEST(StoreEquivalenceTest, WaveAndSerialSchedulesIdenticalAcrossThreads) {
-  // A cache budget small enough to force multiple waves; the parallel
-  // wave scheduler must match both the in-memory transform and the
-  // serial LRU path bit-for-bit at every thread count.
-  const Table table = FdTable(400);
+TEST(StoreEquivalenceTest, WaveScheduleIdenticalAcrossThreads) {
+  // FdTable widened to 10 columns so a budget below the full column set
+  // can still hold several passes. Per pass the wave planner charges the
+  // pair order (one column, 1600 bytes), the bit matrix (7 words x 10
+  // columns x 8 bytes) and the integer accumulators ((100 + 10) x 8),
+  // 3040 bytes, after reserving two decoded columns. A 2-column budget
+  // therefore runs waves of one pass; a 9-column one (14400 bytes, still
+  // short of the 16000 all columns need) runs waves of three passes
+  // (3, 3, 3, 1). The parallel wave scheduler, with its async
+  // decode-ahead, must match the in-memory transform bit-for-bit at
+  // every thread count.
+  const Table narrow = FdTable(400);
+  Table table{Schema({"city", "state", "zip", "noise", "w0", "w1", "w2",
+                      "w3", "w4", "w5"})};
+  std::vector<Value> row(table.num_columns());
+  for (size_t r = 0; r < narrow.num_rows(); ++r) {
+    for (size_t c = 0; c < narrow.num_columns(); ++c) {
+      row[c] = narrow.cell(r, c);
+    }
+    for (size_t w = 0; w < 6; ++w) {
+      row[4 + w] = Value(static_cast<int64_t>((r % 23) % (w + 2) +
+                                              (r % (31 + w) == 0 ? 1 : 0)));
+    }
+    table.AppendRow(row);
+  }
+  const uint64_t column_bytes = 400 * sizeof(int32_t);
   for (size_t threads : kThreadCounts) {
     TransformOptions transform;
     transform.threads = threads;
@@ -182,16 +212,13 @@ TEST(StoreEquivalenceTest, WaveAndSerialSchedulesIdenticalAcrossThreads) {
     auto store = ChunkedTable::Create(table.schema(), "");
     ASSERT_TRUE(store.ok());
     AppendInChunks(table, 57, &store.value());
-    for (BoundedSchedule schedule :
-         {BoundedSchedule::kWave, BoundedSchedule::kSerial}) {
+    for (uint64_t budget_columns : {uint64_t{2}, uint64_t{9}}) {
       StreamTransformOptions stream;
       stream.transform = transform;
-      stream.bounded_schedule = schedule;
-      stream.column_cache_bytes = 3 * 400 * sizeof(int32_t);
+      stream.column_cache_bytes = budget_columns * column_bytes;
       auto streamed = StreamTransformMoments(store.value(), stream);
       ASSERT_TRUE(streamed.ok())
-          << threads << "x"
-          << (schedule == BoundedSchedule::kWave ? "wave" : "serial") << ": "
+          << threads << " threads, " << budget_columns << " columns: "
           << streamed.status().message();
       ExpectMomentsIdentical(memory.value(), streamed.value());
     }

@@ -1,15 +1,16 @@
-// The fast out-of-core I/O layer: mmap-backed chunk reads (with the
-// pread path as a bit-identical fallback), the `store.mmap` /
+// The fast out-of-core I/O layer: mmap-backed chunk reads (with pread
+// as the bit-identical fallback when a map fails), the `store.mmap` /
 // `store.decompress` fault points, and the varint chunk codec. The
-// contract under test: every io-mode x codec combination produces the
-// same bytes, compressed stores fingerprint identically to raw ones,
-// and every corruption mode fails loudly with kIOError.
+// contract under test: mapped and fallback reads of every codec produce
+// the same bytes, compressed stores fingerprint identically to raw
+// ones, and every corruption mode fails loudly with kIOError on both
+// read paths.
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,22 +112,6 @@ TEST(MmapFileTest, EmptyFileAndMissingFile) {
   ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
 }
 
-TEST(StoreIoTest, EnvironmentOverridesDefaultIoMode) {
-  ASSERT_EQ(::setenv("FDX_STORE_IO", "read", 1), 0);
-  EXPECT_EQ(DefaultStoreIo(), StoreIo::kRead);
-  auto store = ChunkedTable::Create(Schema({"a"}), "");
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ(store.value().io_mode(), StoreIo::kRead);
-
-  ASSERT_EQ(::setenv("FDX_STORE_IO", "mmap", 1), 0);
-  EXPECT_EQ(DefaultStoreIo(), StoreIo::kMmap);
-  // Unrecognized values fall back to the default rather than failing.
-  ASSERT_EQ(::setenv("FDX_STORE_IO", "warp-drive", 1), 0);
-  EXPECT_EQ(DefaultStoreIo(), StoreIo::kMmap);
-  ASSERT_EQ(::unsetenv("FDX_STORE_IO"), 0);
-  EXPECT_EQ(DefaultStoreIo(), StoreIo::kMmap);
-}
-
 TEST(StoreIoTest, MmapAndReadPathsAreBitIdentical) {
   const std::string dir = FreshDir("modes");
   const Table table = IoTable(200);
@@ -135,27 +120,46 @@ TEST(StoreIoTest, MmapAndReadPathsAreBitIdentical) {
     ASSERT_TRUE(store.ok());
     AppendInChunks(table, 23, &store.value());
   }
+  // Two reopened copies of one store: the first maps every chunk, the
+  // second has every map failed by the `store.mmap` fault point and so
+  // reads every chunk through the pread fallback.
+  const auto read_all = [](const ChunkedTable& store,
+                           std::vector<std::vector<int32_t>>* codes,
+                           std::vector<Table>* chunks) {
+    *codes = AllCodes(store);
+    for (size_t chunk = 0; chunk < store.num_chunks(); ++chunk) {
+      auto values = store.ReadChunkValues(chunk);
+      ASSERT_TRUE(values.ok()) << values.status().message();
+      chunks->push_back(std::move(values).value());
+    }
+  };
   auto via_mmap = ChunkedTable::Open(dir);
   ASSERT_TRUE(via_mmap.ok());
-  via_mmap.value().set_io_mode(StoreIo::kMmap);
-  auto via_read = ChunkedTable::Open(dir);
-  ASSERT_TRUE(via_read.ok());
-  via_read.value().set_io_mode(StoreIo::kRead);
+  std::vector<std::vector<int32_t>> mmap_codes;
+  std::vector<Table> mmap_chunks;
+  read_all(via_mmap.value(), &mmap_codes, &mmap_chunks);
 
-  EXPECT_EQ(AllCodes(via_mmap.value()), AllCodes(via_read.value()));
+  ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+  auto via_read = ChunkedTable::Open(dir);
+  std::vector<std::vector<int32_t>> read_codes;
+  std::vector<Table> read_chunks;
+  if (via_read.ok()) read_all(via_read.value(), &read_codes, &read_chunks);
+  DisarmFaults();
+  ASSERT_TRUE(via_read.ok());
+
   EXPECT_EQ(via_mmap.value().mmap_fallbacks(), 0u);
-  for (size_t chunk = 0; chunk < via_mmap.value().num_chunks(); ++chunk) {
-    auto a = via_mmap.value().ReadChunkValues(chunk);
-    auto b = via_read.value().ReadChunkValues(chunk);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value().num_rows(), b.value().num_rows());
-    for (size_t r = 0; r < a.value().num_rows(); ++r) {
-      for (size_t c = 0; c < a.value().num_columns(); ++c) {
-        EXPECT_TRUE(a.value().cell(r, c).is_null()
-                        ? b.value().cell(r, c).is_null()
-                        : a.value().cell(r, c).EqualsStrict(
-                              b.value().cell(r, c)))
+  EXPECT_EQ(via_read.value().mmap_fallbacks(), via_read.value().num_chunks());
+  EXPECT_EQ(mmap_codes, read_codes);
+  ASSERT_EQ(mmap_chunks.size(), read_chunks.size());
+  for (size_t chunk = 0; chunk < mmap_chunks.size(); ++chunk) {
+    const Table& a = mmap_chunks[chunk];
+    const Table& b = read_chunks[chunk];
+    ASSERT_EQ(a.num_rows(), b.num_rows());
+    for (size_t r = 0; r < a.num_rows(); ++r) {
+      for (size_t c = 0; c < a.num_columns(); ++c) {
+        EXPECT_TRUE(a.cell(r, c).is_null()
+                        ? b.cell(r, c).is_null()
+                        : a.cell(r, c).EqualsStrict(b.cell(r, c)))
             << "chunk " << chunk << " row " << r << " col " << c;
       }
     }
@@ -179,7 +183,6 @@ TEST(StoreIoTest, MmapFaultFallsBackToReadPath) {
     ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
     auto store = ChunkedTable::Open(dir);
     ASSERT_TRUE(store.ok()) << store.status().message();
-    store.value().set_io_mode(StoreIo::kMmap);
     const EncodedTable encoded = EncodedTable::Encode(table);
     const auto codes = AllCodes(store.value());
     DisarmFaults();
@@ -296,8 +299,8 @@ TEST(StoreIoTest, TruncatedCompressedChunkRejected) {
 }
 
 TEST(StoreIoTest, CorruptCompressedChunkRejected) {
-  for (StoreIo io : {StoreIo::kMmap, StoreIo::kRead}) {
-    const std::string dir = FreshDir(io == StoreIo::kMmap ? "cor_m" : "cor_r");
+  for (bool fallback : {false, true}) {
+    const std::string dir = FreshDir(fallback ? "cor_r" : "cor_m");
     {
       auto store = ChunkedTable::Create(IoTable(1).schema(), dir, "varint");
       ASSERT_TRUE(store.ok());
@@ -311,24 +314,24 @@ TEST(StoreIoTest, CorruptCompressedChunkRejected) {
     ASSERT_GT(contents.value().size(), 70u);
     contents.value()[62] = static_cast<char>(contents.value()[62] ^ 0x5a);
     ASSERT_TRUE(WriteFileAtomic(victim, contents.value()).ok());
-    ASSERT_EQ(::setenv("FDX_STORE_IO", io == StoreIo::kMmap ? "mmap" : "read",
-                       1),
-              0);
+    if (fallback) {
+      ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+    }
     auto reopened = ChunkedTable::Open(dir);
-    ASSERT_EQ(::unsetenv("FDX_STORE_IO"), 0);
+    DisarmFaults();
     // Either the varint decoder rejects the mangled stream or the
     // reconstructed payload fails fingerprint verification — both are
     // loud kIOError, never silently different data.
-    ASSERT_FALSE(reopened.ok());
+    ASSERT_FALSE(reopened.ok()) << (fallback ? "pread" : "mmap");
     EXPECT_EQ(reopened.status().code(), StatusCode::kIOError);
     ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
   }
 }
 
-TEST(StoreIoTest, CorruptRawChunkRejectedInMmapMode) {
-  // The PR 9 corruption test runs through pread; this is the same
-  // contract through the mapped first-touch verification.
-  const std::string dir = FreshDir("cor_raw_mmap");
+TEST(StoreIoTest, CorruptRawChunkRejectedOnOpen) {
+  // Open() fingerprints every chunk's whole file before replaying its
+  // dictionary delta, so a flipped code byte never gets past it.
+  const std::string dir = FreshDir("cor_raw_open");
   {
     auto store = ChunkedTable::Create(IoTable(1).schema(), dir);
     ASSERT_TRUE(store.ok());
@@ -339,14 +342,47 @@ TEST(StoreIoTest, CorruptRawChunkRejectedInMmapMode) {
   ASSERT_TRUE(contents.ok());
   contents.value()[40] = static_cast<char>(contents.value()[40] ^ 0x5a);
   ASSERT_TRUE(WriteFileAtomic(victim, contents.value()).ok());
-  ASSERT_EQ(::setenv("FDX_STORE_IO", "mmap", 1), 0);
   auto reopened = ChunkedTable::Open(dir);
-  ASSERT_EQ(::unsetenv("FDX_STORE_IO"), 0);
   ASSERT_FALSE(reopened.ok());
   EXPECT_EQ(reopened.status().code(), StatusCode::kIOError);
   EXPECT_NE(reopened.status().message().find("fingerprint mismatch"),
             std::string::npos);
   ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
+TEST(StoreIoTest, CorruptChunkRejectedOnFirstColumnReadOnBothPaths) {
+  // A chunk rewritten under a live store (no reopen, so Open's check
+  // never runs) with a code that is still in range: only the first-touch
+  // fingerprint check can catch it, and it must on the mapped path and
+  // on the pread fallback alike.
+  for (bool fallback : {false, true}) {
+    const std::string dir = FreshDir(fallback ? "touch_r" : "touch_m");
+    auto store = ChunkedTable::Create(IoTable(1).schema(), dir);
+    ASSERT_TRUE(store.ok());
+    AppendInChunks(IoTable(40), 40, &store.value());
+    const std::string victim = dir + "/chunk-000000.bin";
+    auto contents = ReadFileToString(victim);
+    ASSERT_TRUE(contents.ok());
+    // Byte 32 is the low byte of column 0's first storage code (past the
+    // 32-byte header); 0 -> 1 names the column's second value.
+    ASSERT_EQ(contents.value()[32], 0);
+    contents.value()[32] = 1;
+    ASSERT_TRUE(WriteFileAtomic(victim, contents.value()).ok());
+
+    if (fallback) {
+      ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+    }
+    std::vector<int32_t> codes;
+    const Status read = store.value().ReadColumnCodes(0, &codes);
+    DisarmFaults();
+    ASSERT_FALSE(read.ok()) << (fallback ? "pread" : "mmap")
+                            << ": first code " << codes.at(0);
+    EXPECT_EQ(read.code(), StatusCode::kIOError);
+    EXPECT_NE(read.message().find("fingerprint mismatch"), std::string::npos)
+        << read.message();
+    EXPECT_EQ(store.value().mmap_fallbacks(), fallback ? 1u : 0u);
+    ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+  }
 }
 
 TEST(StoreIoTest, VarintCodecLookup) {

@@ -22,8 +22,9 @@
 // (default: a temp dir next to the CSV, removed afterwards),
 // --store-compression=none|varint picks the chunk payload codec, and
 // --stable omits timing fields so the two paths' outputs can be
-// compared byte-for-byte. The FDX_STORE_IO environment variable
-// (mmap|read) selects the chunk read path.
+// compared byte-for-byte. A malformed --max-memory-mb or --chunk-rows
+// is a usage error (exit 2); the run never silently falls back to the
+// in-memory path.
 //
 // Exit codes: 0 ok, 1 error, 2 usage, 3 validation violations, 4 timeout.
 
@@ -99,6 +100,12 @@ class Args {
 int FailWith(const Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   return status.code() == StatusCode::kTimeout ? 4 : 1;
+}
+
+/// Prints a malformed-flag error and returns the usage exit code.
+int RejectFlag(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 2;
 }
 
 FdxOptions OptionsFromArgs(const Args& args) {
@@ -200,16 +207,17 @@ void EmitFdsText(const Schema& schema, size_t rows, const FdxResult& result,
   if (!diagnostics.empty()) std::printf("\n%s", diagnostics.c_str());
 }
 
+/// Upper bounds of the beyond-RAM flags; the ceiling's byte count must
+/// fit a uint64_t.
+constexpr int64_t kMaxChunkRows = 2147483647;
+constexpr int64_t kMaxMemoryMb = int64_t{1} << 40;
+
 /// The beyond-RAM discover path: stream the CSV into a spillable chunk
 /// store, then run the bounded-memory transform + the usual structure
 /// learning under a process-RSS ceiling. Bit-identical results to the
 /// in-memory path (EmitFds* with --stable makes that checkable by cmp).
-int StreamingDiscover(const Args& args, const std::string& path) {
-  const double max_memory_mb = args.GetDouble("max-memory-mb", 0.0);
-  const uint64_t rss_limit =
-      static_cast<uint64_t>(max_memory_mb * 1024.0 * 1024.0);
-  const size_t chunk_rows =
-      static_cast<size_t>(args.GetDouble("chunk-rows", 65536.0));
+int StreamingDiscover(const Args& args, const std::string& path,
+                      uint64_t rss_limit, size_t chunk_rows) {
   std::string store_dir = args.Get("store-dir");
   const bool temp_store = store_dir.empty();
   if (temp_store) {
@@ -263,8 +271,23 @@ int Discover(const Args& args) {
     std::fprintf(stderr, "usage: fdxtool discover <csv> [flags]\n");
     return 2;
   }
-  if (args.GetDouble("max-memory-mb", 0.0) > 0.0) {
-    return StreamingDiscover(args, args.positional()[0]);
+  // The beyond-RAM flags are checked before anything is read: a
+  // malformed ceiling must not drop the user onto the unbounded path.
+  const Result<int64_t> chunk_rows = ParseIntFlag(
+      "--chunk-rows", args.Get("chunk-rows", "65536"), 1, kMaxChunkRows);
+  if (!chunk_rows.ok()) return RejectFlag(chunk_rows.status());
+  const std::string max_memory = args.Get("max-memory-mb");
+  if (!max_memory.empty()) {
+    const double mb =
+        IsDouble(max_memory) ? std::atof(max_memory.c_str()) : 0.0;
+    if (!(mb > 0.0 && mb <= kMaxMemoryMb)) {
+      return RejectFlag(Status::InvalidArgument(
+          "--max-memory-mb must be a number of megabytes in (0, " +
+          std::to_string(kMaxMemoryMb) + "], got \"" + max_memory + "\""));
+    }
+    return StreamingDiscover(args, args.positional()[0],
+                             static_cast<uint64_t>(mb * 1024.0 * 1024.0),
+                             static_cast<size_t>(*chunk_rows));
   }
   auto table = LoadTable(args, args.positional()[0]);
   if (!table.ok()) {
@@ -631,15 +654,14 @@ int Usage() {
       "beyond-RAM flags (discover):\n"
       "  --max-memory-mb=N stream the CSV through a spillable chunk\n"
       "                    store and discover under an N-MB RSS ceiling\n"
-      "  --chunk-rows=N    ingest chunk size (default 65536)\n"
+      "                    (N > 0)\n"
+      "  --chunk-rows=N    ingest chunk size, N >= 1 (default 65536)\n"
       "  --store-dir=DIR   keep the chunk store at DIR (default: temp)\n"
       "  --store-compression=none|varint\n"
       "                    chunk payload codec (varint delta-compresses\n"
       "                    dictionary codes; results are identical)\n"
       "  --stable          omit timing fields so in-memory and chunked\n"
-      "                    outputs compare byte-for-byte\n"
-      "  FDX_STORE_IO=mmap|read (env) chunk read path; mmap (default)\n"
-      "                    maps chunk files, read uses plain pread\n");
+      "                    outputs compare byte-for-byte\n");
   return 2;
 }
 

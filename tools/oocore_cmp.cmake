@@ -1,8 +1,10 @@
 # ctest helper: run fdxtool discover on ${CSV} four ways — in-memory,
 # through the out-of-core chunk store with a deliberately tiny chunk
 # size and memory ceiling, the same with varint-compressed chunk
-# payloads, and once more over the pread fallback path — and fail
-# unless the --stable JSON outputs are byte-identical. Invoked as:
+# payloads, and once more with the `store.mmap` fault point failing
+# every chunk map, so each chunk is read through the pread fallback —
+# and fail unless the --stable JSON outputs are byte-identical. Invoked
+# as:
 #   cmake -DFDXTOOL=<bin> -DCSV=<file> -P oocore_cmp.cmake
 
 execute_process(
@@ -39,12 +41,12 @@ if(NOT in_memory STREQUAL compressed)
     "--- in-memory ---\n${in_memory}\n--- compressed ---\n${compressed}")
 endif()
 
-set(ENV{FDX_STORE_IO} read)
+set(ENV{FDX_FAULTS} store.mmap)
 execute_process(
   COMMAND ${FDXTOOL} discover ${CSV} --format=json --stable
           --max-memory-mb=512 --chunk-rows=97
   OUTPUT_VARIABLE readpath RESULT_VARIABLE readpath_rc)
-unset(ENV{FDX_STORE_IO})
+unset(ENV{FDX_FAULTS})
 if(NOT readpath_rc EQUAL 0)
   message(FATAL_ERROR "read-path discover failed (exit ${readpath_rc})")
 endif()
