@@ -146,12 +146,12 @@ Result<LearnedStructure> LearnWithRetries(const Matrix& input,
                                           const FdxOptions& options,
                                           const Deadline* deadline,
                                           RunDiagnostics* diag) {
-  const RecoveryPolicy& policy = options.recovery;
+  const bool recover = options.recovery.enabled;
   Status last_error;
   if (options.estimator == StructureEstimator::kGraphicalLasso) {
     double ridge = options.glasso.diagonal_ridge;
     const size_t max_attempts =
-        policy.enabled ? policy.max_ridge_retries + 1 : 1;
+        recover ? RecoveryPolicy::kMaxRidgeRetries + 1 : 1;
     for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
       Result<LearnedStructure> learned =
           TryGlassoOnce(input, options, ridge, deadline);
@@ -166,18 +166,16 @@ Result<LearnedStructure> LearnWithRetries(const Matrix& input,
       }
       if (attempt + 1 >= max_attempts) break;
       const double next_ridge =
-          ridge > 0.0 ? std::min(ridge * policy.ridge_multiplier,
-                                 policy.max_ridge)
-                      : policy.max_ridge / 1e4;
+          ridge > 0.0 ? std::min(ridge * RecoveryPolicy::kRidgeMultiplier,
+                                 RecoveryPolicy::kMaxRidge)
+                      : RecoveryPolicy::kMaxRidge / 1e4;
       if (next_ridge <= ridge) break;  // already at the cap
       AddEvent(diag, "glasso", "retry_ridge",
                last_error.message() + "; diagonal_ridge -> " +
                    FormatDouble(next_ridge, 8));
       ridge = next_ridge;
     }
-    if (!policy.enabled || !policy.allow_estimator_fallback) {
-      return last_error;
-    }
+    if (!recover) return last_error;
     AddEvent(diag, "glasso", "fallback_sequential",
              "glasso exhausted after " +
                  std::to_string(diag->glasso_attempts) + " attempt(s): " +
@@ -269,13 +267,12 @@ Result<FdxResult> FdxDiscoverer::DiscoverFromCovarianceInternal(
   FdxResult result;
   RunDiagnostics& diag = result.diagnostics;
   const size_t k = covariance.rows();
-  const RecoveryPolicy& policy = options_.recovery;
 
   // Up-front degeneracy scan: equality indicators with (near-)zero
   // variance come from all-constant or all-null columns. They are the
   // quarantine candidates of recovery step 3.
-  const double variance_floor =
-      std::max(options_.zero_tolerance, policy.degenerate_variance_floor);
+  const double variance_floor = std::max(
+      options_.zero_tolerance, RecoveryPolicy::kDegenerateVarianceFloor);
   std::vector<size_t> degenerate;
   for (size_t i = 0; i < k; ++i) {
     if (covariance(i, i) <= variance_floor) degenerate.push_back(i);
@@ -298,8 +295,8 @@ Result<FdxResult> FdxDiscoverer::DiscoverFromCovarianceInternal(
   if (attempt.ok()) {
     learned = std::move(attempt).value();
   } else if (attempt.status().code() == StatusCode::kNumericalError &&
-             policy.enabled && policy.allow_quarantine &&
-             !degenerate.empty() && degenerate.size() < k) {
+             options_.recovery.enabled && !degenerate.empty() &&
+             degenerate.size() < k) {
     // Recovery step 3: drop the degenerate attributes and re-learn on
     // the remainder; the quarantined attributes get zero rows/columns
     // and never participate in FDs.

@@ -34,30 +34,22 @@ enum class StructureEstimator {
 /// How Discover() salvages a run when structure learning hits a
 /// numerical failure (a diverging glasso sweep, a non-positive U D U^T
 /// pivot). The escalation ladder, in order:
-///   1. retry graphical lasso with a diagonal ridge grown by
-///      `ridge_multiplier` per attempt (up to `max_ridge`);
+///   1. retry graphical lasso up to kMaxRidgeRetries times, growing the
+///      diagonal ridge by kRidgeMultiplier per attempt (up to kMaxRidge);
 ///   2. fall back from kGraphicalLasso to kSequentialLasso;
-///   3. quarantine degenerate attributes (near-constant / all-null
-///      equality indicators) and re-run on the remainder.
+///   3. quarantine degenerate attributes (equality-indicator variance at
+///      or below kDegenerateVarianceFloor) and re-run on the remainder.
 /// Every step taken is recorded in FdxResult::diagnostics. Timeouts and
 /// invalid inputs are never retried — only kNumericalError escalates.
 struct RecoveryPolicy {
+  static constexpr size_t kMaxRidgeRetries = 3;
+  static constexpr double kRidgeMultiplier = 10.0;
+  static constexpr double kMaxRidge = 1e-2;
+  static constexpr double kDegenerateVarianceFloor = 1e-9;
+
   /// Master switch; disabled reproduces the historical fail-fast
   /// behaviour (first numerical error aborts the run).
   bool enabled = true;
-  /// Ridge retries after the initial attempt (so N+1 glasso attempts).
-  size_t max_ridge_retries = 3;
-  /// Growth factor of the diagonal ridge between attempts.
-  double ridge_multiplier = 10.0;
-  /// Hard cap on the escalated ridge; retries stop once it is reached.
-  double max_ridge = 1e-2;
-  /// Allow step 2 (estimator fallback to sequential lasso).
-  bool allow_estimator_fallback = true;
-  /// Allow step 3 (quarantine degenerate attributes and re-run).
-  bool allow_quarantine = true;
-  /// Indicator-variance floor below which an attribute counts as
-  /// degenerate for the up-front scan and the quarantine step.
-  double degenerate_variance_floor = 1e-9;
 };
 
 /// One recovery action taken while salvaging a failing run.

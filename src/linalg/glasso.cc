@@ -226,8 +226,7 @@ bool ChooseNewton(const GlassoOptions& options, size_t m, double density) {
     case GlassoSolver::kNewton:
       return true;
     case GlassoSolver::kAuto:
-      return m >= options.newton_min_block &&
-             density >= options.newton_dense_threshold;
+      return m >= kNewtonMinBlock && density >= kNewtonDenseThreshold;
   }
   return false;
 }

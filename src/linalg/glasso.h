@@ -14,8 +14,8 @@ namespace fdx {
 /// Per-component solver backend of the fast graphical lasso.
 enum class GlassoSolver : int {
   /// Per-component heuristic: the QUIC-style Newton solver for large
-  /// dense components (size >= newton_min_block and screened edge
-  /// density >= newton_dense_threshold), block coordinate descent
+  /// dense components (size >= kNewtonMinBlock and screened edge
+  /// density >= kNewtonDenseThreshold), block coordinate descent
   /// everywhere else. Block/banded/sparse structure keeps the exact CD
   /// path it had before the Newton solver existed.
   kAuto = 0,
@@ -24,6 +24,11 @@ enum class GlassoSolver : int {
   /// Force the QUIC-style Newton solver on every component.
   kNewton = 2,
 };
+
+/// kAuto's dispatch thresholds: the component size and screened edge
+/// density at or above which a component takes the Newton path.
+inline constexpr size_t kNewtonMinBlock = 32;
+inline constexpr double kNewtonDenseThreshold = 0.5;
 
 /// Name of a solver choice: "auto", "cd", "newton".
 const char* GlassoSolverName(GlassoSolver solver);
@@ -70,19 +75,6 @@ struct GlassoOptions {
   /// Per-component solver backend (fast solver only; the reference is
   /// always coordinate descent). See GlassoSolver.
   GlassoSolver solver = GlassoSolver::kAuto;
-  /// Newton-solver knobs: outer Newton iteration cap, and the kAuto
-  /// dispatch thresholds (component size and screened edge density at or
-  /// above which a component takes the Newton path).
-  size_t newton_max_iterations = 50;
-  size_t newton_min_block = 32;
-  double newton_dense_threshold = 0.5;
-  /// Lambda-path continuation for *cold* Newton solves: the target
-  /// lambda is warm-started from a short sequence of sparser solves
-  /// (descending multiples of lambda clamped under lambda_max). Purely
-  /// an initial-point device — it never changes the fixed point — and
-  /// deterministic, so lineage-keyed result caches stay valid.
-  /// Warm-started solves skip the path.
-  bool lambda_path = true;
 };
 
 /// Execution statistics of one fast-solver run: what screening found,

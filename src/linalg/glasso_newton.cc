@@ -15,6 +15,11 @@ namespace fdx {
 
 namespace {
 
+/// Outer Newton iteration caps: at the target lambda, and per
+/// lambda-path continuation stage.
+constexpr size_t kNewtonMaxIterations = 50;
+constexpr size_t kPathStageIterations = 8;
+
 /// log det(A) from its lower Cholesky factor.
 double LogDetFromCholesky(const Matrix& l) {
   double acc = 0.0;
@@ -377,7 +382,7 @@ Result<NewtonBlockResult> SolveBlockNewton(const Matrix& s,
   // Multiples at or above lambda_max = max |s'_offdiag| are skipped —
   // there the solution is the diagonal start itself.
   std::vector<double> lambdas;
-  if (options.lambda_path && !warm_ok && lambda > 0.0) {
+  if (!warm_ok && lambda > 0.0) {
     double lambda_max = 0.0;
     for (size_t i = 0; i < m; ++i) {
       for (size_t j = i + 1; j < m; ++j) {
@@ -398,8 +403,7 @@ Result<NewtonBlockResult> SolveBlockNewton(const Matrix& s,
     // iterations. Only the target stage runs to the real stop.
     const double stage_tol = target ? stop_tol : stop_tol * 100.0;
     const size_t stage_cap =
-        target ? options.newton_max_iterations
-               : std::min<size_t>(options.newton_max_iterations, 8);
+        target ? kNewtonMaxIterations : kPathStageIterations;
     StageOutcome outcome;
     FDX_RETURN_IF_ERROR(NewtonAtLambda(sp, lambdas[stage], options,
                                        stage_tol, stage_cap, &result.theta,

@@ -37,9 +37,12 @@ struct NewtonBlockResult {
 ///
 /// Convergence: minimum-norm subgradient max-norm <= tolerance *
 /// s_scale (same problem scale the CD solver normalizes by). Cold
-/// solves optionally run a short lambda-path continuation first (see
-/// GlassoOptions::lambda_path); `warm_theta`, when non-null and
-/// positive definite, seeds the iterate directly and skips the path.
+/// solves first run a short lambda-path continuation: the target lambda
+/// is warm-started from a few sparser solves. It is purely an
+/// initial-point device — it never changes the fixed point — and
+/// deterministic, so lineage-keyed result caches stay valid.
+/// `warm_theta`, when non-null and positive definite, seeds the iterate
+/// directly and skips the path.
 ///
 /// `s` must be the block-local covariance (members gathered); the
 /// result matrices come back in the same local order. Deterministic:

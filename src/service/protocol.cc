@@ -1,23 +1,114 @@
 #include "service/protocol.h"
 
+#include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
+#include <string_view>
 
 #include "core/ordering.h"
 #include "eval/report.h"
 #include "util/fingerprint.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 
 namespace fdx {
 
 namespace {
 
-/// Exact, locale-free double rendering for cache keys: %.17g preserves
-/// every bit of a finite IEEE double.
-std::string ExactDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+/// The one list of result-affecting FdxOptions fields, in key order:
+/// CanonicalOptionsKey renders it and ParseOptionsKey reads it back, so
+/// a field added here is cached, persisted and restored in one step —
+/// and a result-affecting field missing here would poison the cache.
+/// Left out on purpose: threads (bit-identical results at any count,
+/// DESIGN.md section 7), time_budget_seconds (bounds wall-clock, never
+/// changes the bytes of a run that finishes), glasso.lambda (Discover
+/// overwrites it with `lambda`), and the non-owning pointers.
+template <typename Options, typename Visit>
+void ForEachKeyedField(Options& o, Visit&& field) {
+  field("est", o.estimator);
+  field("lam", o.lambda);
+  field("tau", o.sparsity_threshold);
+  field("rel", o.relative_threshold);
+  field("floor", o.minimum_column_weight);
+  field("zero", o.zero_tolerance);
+  field("norm", o.normalize_covariance);
+  field("ord", o.ordering);
+  field("seed", o.transform.seed);
+  field("pairs", o.transform.max_pairs_per_attribute);
+  field("pooled", o.transform.pooled_covariance);
+  field("giter", o.glasso.max_iterations);
+  field("gtol", o.glasso.tolerance);
+  field("gridge", o.glasso.diagonal_ridge);
+  field("gliter", o.glasso.lasso_max_iterations);
+  field("gltol", o.glasso.lasso_tolerance);
+  field("gsolver", o.glasso.solver);
+  field("rec", o.recovery.enabled);
+  // Warm starts don't change a one-shot discover (there is no previous
+  // solve to seed from), but session keys splice this key together with
+  // the solve lineage, where the flag decides whether lineage exists.
+  field("wrm", o.reuse_solver_state);
+}
+
+// Key text of one field value, and its strict inverse.
+
+std::string KeyText(double value) { return ExactDouble(value); }
+std::string KeyText(bool value) { return value ? "1" : "0"; }
+template <std::unsigned_integral T>
+std::string KeyText(T value) {
+  return std::to_string(value);
+}
+std::string KeyText(StructureEstimator value) {
+  return std::to_string(static_cast<int>(value));
+}
+std::string KeyText(OrderingMethod value) { return OrderingMethodName(value); }
+std::string KeyText(GlassoSolver value) {
+  return std::to_string(static_cast<int>(value));
+}
+
+bool ParseKeyText(std::string_view text, double* out) {
+  return ParseExact(text, out);
+}
+bool ParseKeyText(std::string_view text, bool* out) {
+  if (text != "0" && text != "1") return false;
+  *out = text == "1";
+  return true;
+}
+template <std::unsigned_integral T>
+bool ParseKeyText(std::string_view text, T* out) {
+  return ParseExact(text, out);
+}
+bool ParseKeyText(std::string_view text, StructureEstimator* out) {
+  uint64_t value = 0;
+  if (!ParseExact(text, &value) || value > 1) return false;
+  *out = static_cast<StructureEstimator>(value);
+  return true;
+}
+bool ParseKeyText(std::string_view text, OrderingMethod* out) {
+  Result<OrderingMethod> method = ParseOrderingMethod(std::string(text));
+  if (!method.ok()) return false;
+  *out = *method;
+  return true;
+}
+bool ParseKeyText(std::string_view text, GlassoSolver* out) {
+  uint64_t value = 0;
+  if (!ParseExact(text, &value) || value > 2) return false;
+  *out = static_cast<GlassoSolver>(value);
+  return true;
+}
+
+/// A wire count (seed, max_pairs, threads): an integral JSON number in
+/// [0, 2^53], the range a JSON double holds exactly.
+Result<uint64_t> WireCount(const std::string& key, const JsonValue& value) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  const double number = value.number_value();
+  if (!(number >= 0.0 && number <= kMaxExact) ||
+      number != std::floor(number)) {
+    return Status::InvalidArgument(
+        "options." + key + " must be an integer in [0, 2^53], got " +
+        ExactDouble(number));
+  }
+  return static_cast<uint64_t>(number);
 }
 
 }  // namespace
@@ -54,17 +145,16 @@ Result<FdxOptions> ParseOptionsJson(const JsonValue& json,
       FDX_ASSIGN_OR_RETURN(options.ordering,
                            ParseOrderingMethod(value.string_value()));
     } else if (key == "seed" && value.is_number()) {
-      options.transform.seed =
-          static_cast<uint64_t>(value.number_value());
+      FDX_ASSIGN_OR_RETURN(options.transform.seed, WireCount(key, value));
     } else if (key == "max_pairs" && value.is_number()) {
-      options.transform.max_pairs_per_attribute =
-          static_cast<size_t>(value.number_value());
+      FDX_ASSIGN_OR_RETURN(options.transform.max_pairs_per_attribute,
+                           WireCount(key, value));
     } else if (key == "pooled_covariance" && value.is_bool()) {
       options.transform.pooled_covariance = value.bool_value();
     } else if (key == "time_budget_seconds" && value.is_number()) {
       options.time_budget_seconds = value.number_value();
     } else if (key == "threads" && value.is_number()) {
-      options.threads = static_cast<size_t>(value.number_value());
+      FDX_ASSIGN_OR_RETURN(options.threads, WireCount(key, value));
     } else if (key == "recovery" && value.is_bool()) {
       options.recovery.enabled = value.bool_value();
     } else if (key == "warm_start" && value.is_bool()) {
@@ -82,49 +172,48 @@ Result<FdxOptions> ParseOptionsJson(const JsonValue& json,
   return options;
 }
 
-std::string CanonicalOptionsKey(const FdxOptions& o) {
-  // Fixed field order; every result-affecting knob, including the ones
-  // the protocol cannot set yet — adding a knob without extending this
-  // key would poison the cache.
+std::string CanonicalOptionsKey(const FdxOptions& options) {
   std::string key;
-  key += "est=" + std::to_string(static_cast<int>(o.estimator));
-  key += ";lam=" + ExactDouble(o.lambda);
-  key += ";tau=" + ExactDouble(o.sparsity_threshold);
-  key += ";rel=" + ExactDouble(o.relative_threshold);
-  key += ";floor=" + ExactDouble(o.minimum_column_weight);
-  key += ";zero=" + ExactDouble(o.zero_tolerance);
-  key += ";norm=" + std::to_string(o.normalize_covariance ? 1 : 0);
-  key += ";ord=" + OrderingMethodName(o.ordering);
-  key += ";seed=" + std::to_string(o.transform.seed);
-  key += ";pairs=" + std::to_string(o.transform.max_pairs_per_attribute);
-  key += ";pooled=" + std::to_string(o.transform.pooled_covariance ? 1 : 0);
-  key += ";glam=" + ExactDouble(o.glasso.lambda);
-  key += ";giter=" + std::to_string(o.glasso.max_iterations);
-  key += ";gtol=" + ExactDouble(o.glasso.tolerance);
-  key += ";gridge=" + ExactDouble(o.glasso.diagonal_ridge);
-  key += ";gliter=" + std::to_string(o.glasso.lasso_max_iterations);
-  key += ";gltol=" + ExactDouble(o.glasso.lasso_tolerance);
-  key += ";gsolver=" + std::to_string(static_cast<int>(o.glasso.solver));
-  key += ";gniter=" + std::to_string(o.glasso.newton_max_iterations);
-  key += ";gnmin=" + std::to_string(o.glasso.newton_min_block);
-  key += ";gndense=" + ExactDouble(o.glasso.newton_dense_threshold);
-  key += ";gpath=" + std::to_string(o.glasso.lambda_path ? 1 : 0);
-  key += ";rec=" + std::to_string(o.recovery.enabled ? 1 : 0);
-  key += ";rretry=" + std::to_string(o.recovery.max_ridge_retries);
-  key += ";rmul=" + ExactDouble(o.recovery.ridge_multiplier);
-  key += ";rmax=" + ExactDouble(o.recovery.max_ridge);
-  key += ";rfall=" +
-         std::to_string(o.recovery.allow_estimator_fallback ? 1 : 0);
-  key += ";rquar=" + std::to_string(o.recovery.allow_quarantine ? 1 : 0);
-  key += ";rvar=" + ExactDouble(o.recovery.degenerate_variance_floor);
-  // Warm starts don't change a one-shot discover (there is no previous
-  // solve to seed from), but session keys splice this key together with
-  // the solve lineage, where the flag decides whether lineage exists.
-  key += ";wrm=" + std::to_string(o.reuse_solver_state ? 1 : 0);
-  // Excluded on purpose: threads (bit-identical results at any count,
-  // DESIGN.md section 7) and time_budget_seconds (bounds wall-clock,
-  // never changes the bytes of a run that finishes).
+  ForEachKeyedField(options, [&key](const char* name, const auto& value) {
+    if (!key.empty()) key += ';';
+    key += name;
+    key += '=';
+    key += KeyText(value);
+  });
   return key;
+}
+
+Result<FdxOptions> ParseOptionsKey(const std::string& key) {
+  FdxOptions options;
+  std::string_view rest = key;
+  std::string error;
+  bool first = true;
+  ForEachKeyedField(options, [&](const char* name, auto& value) {
+    if (!error.empty()) return;
+    const std::string prefix = (first ? "" : ";") + std::string(name) + "=";
+    first = false;
+    if (rest.substr(0, prefix.size()) != prefix) {
+      error = std::string("expected field '") + name + "'";
+      return;
+    }
+    rest.remove_prefix(prefix.size());
+    const size_t end = std::min(rest.find(';'), rest.size());
+    if (!ParseKeyText(rest.substr(0, end), &value)) {
+      error = std::string("malformed value of '") + name + "'";
+    }
+    rest.remove_prefix(end);
+  });
+  if (error.empty() && !rest.empty()) error = "trailing bytes";
+  // Canonical form only: a value that parses but renders differently
+  // ("mindegree", "007", a %.17g variant of the same double) is not a
+  // key this build wrote.
+  if (error.empty() && CanonicalOptionsKey(options) != key) {
+    error = "not in canonical form";
+  }
+  if (!error.empty()) {
+    return Status::InvalidArgument("options key: " + error);
+  }
+  return options;
 }
 
 std::string FingerprintTable(const Table& table) {

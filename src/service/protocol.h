@@ -20,21 +20,31 @@ namespace fdx {
 
 /// Decodes an `"options"` object into FdxOptions on top of `base`.
 /// Unknown keys are rejected (a typo'd option silently falling back to
-/// the default is the worst failure mode a service knob can have).
-/// Supported keys: estimator ("glasso"|"seqlasso"), lambda, tau,
-/// relative_threshold, minimum_column_weight, normalize, ordering,
-/// seed, max_pairs, pooled_covariance, time_budget_seconds, threads,
-/// recovery (bool: master switch).
+/// the default is the worst failure mode a service knob can have), and
+/// so are counts (seed, max_pairs, threads) that are negative,
+/// fractional or above 2^53. Supported keys: estimator
+/// ("glasso"|"seqlasso"), lambda, tau, relative_threshold,
+/// minimum_column_weight, normalize, ordering, seed, max_pairs,
+/// pooled_covariance, time_budget_seconds, threads, recovery (bool:
+/// master switch), warm_start (bool), solver ("auto"|"cd"|"newton").
 Result<FdxOptions> ParseOptionsJson(const JsonValue& json,
                                     const FdxOptions& base);
 
 /// Canonical result-affecting encoding of FdxOptions — one half of the
-/// result-cache key. Two option structs map to the same key iff every
-/// field that can change discovery *output bytes* matches; knobs that
-/// are output-invariant by the determinism contract (threads) or only
-/// bound wall-clock (time_budget_seconds) are deliberately excluded,
-/// so a re-run with a different budget still hits the cache.
+/// result-cache key, and the options record of a durable session's
+/// snapshot. Two option structs map to the same key iff every field
+/// that can change discovery *output bytes* matches; knobs that are
+/// output-invariant by the determinism contract (threads) or only bound
+/// wall-clock (time_budget_seconds) are deliberately excluded, so a
+/// re-run with a different budget still hits the cache.
 std::string CanonicalOptionsKey(const FdxOptions& options);
+
+/// Inverse of CanonicalOptionsKey: default FdxOptions with every keyed
+/// field read back from `key`. Strict — every field, in order, in the
+/// exact form CanonicalOptionsKey writes; anything else (a truncation,
+/// an edited value, a key from a build with a different field list) is
+/// an InvalidArgument.
+Result<FdxOptions> ParseOptionsKey(const std::string& key);
 
 /// Content fingerprint of a table: schema names, dimensions, and every
 /// cell with a type tag (null, "" and 0 all hash differently). The

@@ -860,10 +860,8 @@ Result<std::string> FdxServer::RestoreSession(const std::string& path) {
 }
 
 void FdxServer::PersistSessionLocked(DatasetSession* session) {
-  const FdxOptions& options = session->fdx.options();
-  const std::string text =
-      EncodeSessionSnapshot(session->id, session->fdx.schema(), options,
-                            CanonicalOptionsKey(options));
+  const std::string text = EncodeSessionSnapshot(
+      session->id, session->fdx.schema(), session->fdx.options());
   if (WriteFileAtomic(SessionSnapshotPath(session->id), text).ok()) {
     snapshot_writes_.fetch_add(1, std::memory_order_relaxed);
   } else {

@@ -1,237 +1,44 @@
 #include "service/snapshot.h"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-
-#include "core/ordering.h"
-#include "util/json_parser.h"
 #include "service/protocol.h"
+#include "util/fingerprint.h"
+#include "util/json_parser.h"
 #include "util/json_writer.h"
+#include "util/string_util.h"
 
 namespace fdx {
 
 namespace {
 
-/// Version 2 sessions keep their rows in a chunk store; version 1
-/// embedded them as JSON cells and is no longer read.
-constexpr int kSessionSnapshotVersion = 2;
+/// Version 3 stores the options as their canonical key under a
+/// checksum. Older versions are not read.
+constexpr int kSessionSnapshotVersion = 3;
 constexpr int kCacheSnapshotVersion = 1;
 
-std::string ExactDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+/// Checksum over everything a snapshot restores.
+std::string SessionChecksum(const std::string& id,
+                            const std::vector<std::string>& names,
+                            const std::string& options_key,
+                            const std::string& threads,
+                            const std::string& time_budget) {
+  Fingerprint fp;
+  fp.UpdateString("session-v3");
+  fp.UpdateString(id);
+  fp.UpdateU64(names.size());
+  for (const std::string& name : names) fp.UpdateString(name);
+  fp.UpdateString(options_key);
+  fp.UpdateString(threads);
+  fp.UpdateString(time_budget);
+  return fp.Hex();
 }
-
-std::string ExactU64(uint64_t value) { return std::to_string(value); }
-
-/// Parses a %.17g string back to the identical double.
-Result<double> ParseExactDouble(const JsonValue* value,
-                                const std::string& field) {
-  if (value == nullptr || !value->is_string()) {
-    return Status::InvalidArgument("snapshot: missing double field '" + field +
-                                   "'");
-  }
-  const std::string& text = value->string_value();
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("snapshot: malformed double in '" + field +
-                                   "': '" + text + "'");
-  }
-  return parsed;
-}
-
-Result<uint64_t> ParseExactU64(const JsonValue* value,
-                               const std::string& field) {
-  if (value == nullptr || !value->is_string()) {
-    return Status::InvalidArgument("snapshot: missing integer field '" +
-                                   field + "'");
-  }
-  const std::string& text = value->string_value();
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("snapshot: malformed integer in '" + field +
-                                   "': '" + text + "'");
-  }
-  return static_cast<uint64_t>(parsed);
-}
-
-Result<bool> ParseBool(const JsonValue* value, const std::string& field) {
-  if (value == nullptr || !value->is_bool()) {
-    return Status::InvalidArgument("snapshot: missing bool field '" + field +
-                                   "'");
-  }
-  return value->bool_value();
-}
-
-void WriteOptionsJson(JsonWriter* json, const FdxOptions& o) {
-  json->BeginObject();
-  json->Key("estimator");
-  json->String(o.estimator == StructureEstimator::kGraphicalLasso
-                   ? "glasso"
-                   : "seqlasso");
-  json->Key("lambda");
-  json->String(ExactDouble(o.lambda));
-  json->Key("sparsity_threshold");
-  json->String(ExactDouble(o.sparsity_threshold));
-  json->Key("relative_threshold");
-  json->String(ExactDouble(o.relative_threshold));
-  json->Key("minimum_column_weight");
-  json->String(ExactDouble(o.minimum_column_weight));
-  json->Key("zero_tolerance");
-  json->String(ExactDouble(o.zero_tolerance));
-  json->Key("normalize_covariance");
-  json->Bool(o.normalize_covariance);
-  json->Key("ordering");
-  json->String(OrderingMethodName(o.ordering));
-  json->Key("transform");
-  json->BeginObject();
-  json->Key("seed");
-  json->String(ExactU64(o.transform.seed));
-  json->Key("max_pairs_per_attribute");
-  json->String(ExactU64(o.transform.max_pairs_per_attribute));
-  json->Key("pooled_covariance");
-  json->Bool(o.transform.pooled_covariance);
-  json->Key("threads");
-  json->String(ExactU64(o.transform.threads));
-  json->EndObject();
-  json->Key("glasso");
-  json->BeginObject();
-  json->Key("lambda");
-  json->String(ExactDouble(o.glasso.lambda));
-  json->Key("max_iterations");
-  json->String(ExactU64(o.glasso.max_iterations));
-  json->Key("tolerance");
-  json->String(ExactDouble(o.glasso.tolerance));
-  json->Key("diagonal_ridge");
-  json->String(ExactDouble(o.glasso.diagonal_ridge));
-  json->Key("lasso_max_iterations");
-  json->String(ExactU64(o.glasso.lasso_max_iterations));
-  json->Key("lasso_tolerance");
-  json->String(ExactDouble(o.glasso.lasso_tolerance));
-  json->EndObject();
-  json->Key("threads");
-  json->String(ExactU64(o.threads));
-  json->Key("time_budget_seconds");
-  json->String(ExactDouble(o.time_budget_seconds));
-  json->Key("reuse_solver_state");
-  json->Bool(o.reuse_solver_state);
-  json->Key("recovery");
-  json->BeginObject();
-  json->Key("enabled");
-  json->Bool(o.recovery.enabled);
-  json->Key("max_ridge_retries");
-  json->String(ExactU64(o.recovery.max_ridge_retries));
-  json->Key("ridge_multiplier");
-  json->String(ExactDouble(o.recovery.ridge_multiplier));
-  json->Key("max_ridge");
-  json->String(ExactDouble(o.recovery.max_ridge));
-  json->Key("allow_estimator_fallback");
-  json->Bool(o.recovery.allow_estimator_fallback);
-  json->Key("allow_quarantine");
-  json->Bool(o.recovery.allow_quarantine);
-  json->Key("degenerate_variance_floor");
-  json->String(ExactDouble(o.recovery.degenerate_variance_floor));
-  json->EndObject();
-  json->EndObject();
-}
-
-#define FDX_SNAP_DOUBLE(target, parent, field)                       \
-  do {                                                               \
-    FDX_ASSIGN_OR_RETURN(target, ParseExactDouble((parent)->Find(field), \
-                                                  field));           \
-  } while (false)
-
-#define FDX_SNAP_U64(target, type, parent, field)                        \
-  do {                                                                   \
-    uint64_t fdx_snap_u64_tmp = 0;                                       \
-    FDX_ASSIGN_OR_RETURN(fdx_snap_u64_tmp,                               \
-                         ParseExactU64((parent)->Find(field), field));   \
-    target = static_cast<type>(fdx_snap_u64_tmp);                        \
-  } while (false)
-
-#define FDX_SNAP_BOOL(target, parent, field)                           \
-  do {                                                                 \
-    FDX_ASSIGN_OR_RETURN(target, ParseBool((parent)->Find(field), field)); \
-  } while (false)
-
-Result<FdxOptions> ParseOptionsSnapshot(const JsonValue& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("snapshot: options must be an object");
-  }
-  FdxOptions o;
-  const std::string estimator = json.StringOr("estimator", "");
-  if (estimator == "glasso") {
-    o.estimator = StructureEstimator::kGraphicalLasso;
-  } else if (estimator == "seqlasso") {
-    o.estimator = StructureEstimator::kSequentialLasso;
-  } else {
-    return Status::InvalidArgument("snapshot: unknown estimator '" +
-                                   estimator + "'");
-  }
-  FDX_SNAP_DOUBLE(o.lambda, &json, "lambda");
-  FDX_SNAP_DOUBLE(o.sparsity_threshold, &json, "sparsity_threshold");
-  FDX_SNAP_DOUBLE(o.relative_threshold, &json, "relative_threshold");
-  FDX_SNAP_DOUBLE(o.minimum_column_weight, &json, "minimum_column_weight");
-  FDX_SNAP_DOUBLE(o.zero_tolerance, &json, "zero_tolerance");
-  FDX_SNAP_BOOL(o.normalize_covariance, &json, "normalize_covariance");
-  FDX_ASSIGN_OR_RETURN(o.ordering,
-                       ParseOrderingMethod(json.StringOr("ordering", "")));
-  const JsonValue* transform = json.Find("transform");
-  if (transform == nullptr || !transform->is_object()) {
-    return Status::InvalidArgument("snapshot: missing transform options");
-  }
-  FDX_SNAP_U64(o.transform.seed, uint64_t, transform, "seed");
-  FDX_SNAP_U64(o.transform.max_pairs_per_attribute, size_t, transform,
-               "max_pairs_per_attribute");
-  FDX_SNAP_BOOL(o.transform.pooled_covariance, transform,
-                "pooled_covariance");
-  FDX_SNAP_U64(o.transform.threads, size_t, transform, "threads");
-  const JsonValue* glasso = json.Find("glasso");
-  if (glasso == nullptr || !glasso->is_object()) {
-    return Status::InvalidArgument("snapshot: missing glasso options");
-  }
-  FDX_SNAP_DOUBLE(o.glasso.lambda, glasso, "lambda");
-  FDX_SNAP_U64(o.glasso.max_iterations, size_t, glasso, "max_iterations");
-  FDX_SNAP_DOUBLE(o.glasso.tolerance, glasso, "tolerance");
-  FDX_SNAP_DOUBLE(o.glasso.diagonal_ridge, glasso, "diagonal_ridge");
-  FDX_SNAP_U64(o.glasso.lasso_max_iterations, size_t, glasso,
-               "lasso_max_iterations");
-  FDX_SNAP_DOUBLE(o.glasso.lasso_tolerance, glasso, "lasso_tolerance");
-  FDX_SNAP_U64(o.threads, size_t, &json, "threads");
-  FDX_SNAP_DOUBLE(o.time_budget_seconds, &json, "time_budget_seconds");
-  FDX_SNAP_BOOL(o.reuse_solver_state, &json, "reuse_solver_state");
-  const JsonValue* recovery = json.Find("recovery");
-  if (recovery == nullptr || !recovery->is_object()) {
-    return Status::InvalidArgument("snapshot: missing recovery options");
-  }
-  FDX_SNAP_BOOL(o.recovery.enabled, recovery, "enabled");
-  FDX_SNAP_U64(o.recovery.max_ridge_retries, size_t, recovery,
-               "max_ridge_retries");
-  FDX_SNAP_DOUBLE(o.recovery.ridge_multiplier, recovery, "ridge_multiplier");
-  FDX_SNAP_DOUBLE(o.recovery.max_ridge, recovery, "max_ridge");
-  FDX_SNAP_BOOL(o.recovery.allow_estimator_fallback, recovery,
-                "allow_estimator_fallback");
-  FDX_SNAP_BOOL(o.recovery.allow_quarantine, recovery, "allow_quarantine");
-  FDX_SNAP_DOUBLE(o.recovery.degenerate_variance_floor, recovery,
-                  "degenerate_variance_floor");
-  return o;
-}
-
-#undef FDX_SNAP_DOUBLE
-#undef FDX_SNAP_U64
-#undef FDX_SNAP_BOOL
 
 }  // namespace
 
 std::string EncodeSessionSnapshot(const std::string& id, const Schema& schema,
-                                  const FdxOptions& options,
-                                  const std::string& options_key) {
+                                  const FdxOptions& options) {
+  const std::string key = CanonicalOptionsKey(options);
+  const std::string threads = std::to_string(options.threads);
+  const std::string time_budget = ExactDouble(options.time_budget_seconds);
   JsonWriter json;
   json.BeginObject();
   json.Key("version");
@@ -242,10 +49,14 @@ std::string EncodeSessionSnapshot(const std::string& id, const Schema& schema,
   json.BeginArray();
   for (const std::string& name : schema.names()) json.String(name);
   json.EndArray();
-  json.Key("options");
-  WriteOptionsJson(&json, options);
   json.Key("options_key");
-  json.String(options_key);
+  json.String(key);
+  json.Key("threads");
+  json.String(threads);
+  json.Key("time_budget_seconds");
+  json.String(time_budget);
+  json.Key("checksum");
+  json.String(SessionChecksum(id, schema.names(), key, threads, time_budget));
   json.EndObject();
   return json.TakeString();
 }
@@ -280,17 +91,20 @@ Result<SessionSnapshot> DecodeSessionSnapshot(const std::string& text) {
     }
     names.push_back(name.string_value());
   }
-  snapshot.schema = Schema(std::move(names));
-  const JsonValue* options_json = root.Find("options");
-  if (options_json == nullptr) {
-    return Status::InvalidArgument("snapshot: missing options");
-  }
-  FDX_ASSIGN_OR_RETURN(snapshot.options, ParseOptionsSnapshot(*options_json));
-  snapshot.options_key = root.StringOr("options_key", "");
-  if (CanonicalOptionsKey(snapshot.options) != snapshot.options_key) {
+  const std::string key = root.StringOr("options_key", "");
+  const std::string threads = root.StringOr("threads", "");
+  const std::string time_budget = root.StringOr("time_budget_seconds", "");
+  if (root.StringOr("checksum", "") !=
+      SessionChecksum(snapshot.id, names, key, threads, time_budget)) {
     return Status::InvalidArgument(
-        "snapshot: decoded options do not reproduce the stored options key "
-        "(codec drift or corrupted file)");
+        "snapshot: checksum mismatch (corrupted or edited file)");
+  }
+  snapshot.schema = Schema(std::move(names));
+  FDX_ASSIGN_OR_RETURN(snapshot.options, ParseOptionsKey(key));
+  if (!ParseExact(threads, &snapshot.options.threads) ||
+      !ParseExact(time_budget, &snapshot.options.time_budget_seconds)) {
+    return Status::InvalidArgument(
+        "snapshot: malformed threads or time_budget_seconds");
   }
   return snapshot;
 }

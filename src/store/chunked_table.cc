@@ -16,6 +16,7 @@
 #include "util/json_parser.h"
 #include "util/json_writer.h"
 #include "util/mmap_file.h"
+#include "util/string_util.h"
 
 namespace fdx {
 namespace {
@@ -66,14 +67,6 @@ std::string FingerprintHexOf(const char* data, size_t size) {
 
 std::string FingerprintHexOf(const std::string& contents) {
   return FingerprintHexOf(contents.data(), contents.size());
-}
-
-/// Exact-double text, round-trippable (%.17g survives strtod
-/// bit-exactly; the service's options snapshots use the same codec).
-std::string ExactDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 /// Type-tagged cell: null | ["i",text] | ["d",text] | ["s",text].
@@ -208,8 +201,8 @@ struct ChunkedTable::ChunkIo {
     return Status::OK();
   }
 
-  /// Drops the page-cache residency of a byte range (mmap mode only) so
-  /// a streaming scan never accumulates mapped pages.
+  /// Unmaps the pages of a byte range (mmap mode only) so a streaming
+  /// scan never accumulates mapped pages.
   void DropRange(uint64_t offset, size_t len) const {
     if (use_mmap) map.AdviseDontNeed(offset, len);
   }
@@ -637,7 +630,10 @@ Status ChunkedTable::ReadSpilledColumn(size_t index, size_t col,
     }
   }
   // The slice has been copied out as codes; its pages are dead weight.
-  io->DropRange(io->col_offsets[col], io->col_sizes[col]);
+  // Drop the whole mapping, not just the slice: every fault also maps
+  // the cached pages around it (fault-around), and those would outlive
+  // a slice-sized drop. A page another column still needs faults back.
+  io->DropRange(0, io->file_size);
   return Status::OK();
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -78,26 +79,36 @@ Result<MmapFile> MmapFile::Open(const std::string& path) {
 void MmapFile::AdviseDontNeed(size_t offset, size_t length) const {
   if (data_ == nullptr || length == 0 || offset >= size_) return;
   const size_t page = PageSize();
-  // Round the start up and the end down: only pages wholly inside the
-  // range are dropped, so bytes shared with a neighbouring live range
-  // survive.
-  const size_t end = std::min(size_, offset + length);
-  const size_t lo = (offset + page - 1) / page * page;
-  const size_t hi = end / page * page;
-  if (lo >= hi) return;
+  // Round outward: a page that straddles the range edge is dropped too.
+  // That never loses bytes — the mapping is read-only and private, so a
+  // later touch of the neighbouring range faults the page back in from
+  // the file — whereas keeping edge pages leaks residency on every
+  // slice whose edges are not page-aligned.
+  const size_t lo = offset / page * page;
+  const size_t hi = std::min(size_, offset + length);
   (void)::madvise(data_ + lo, hi - lo, MADV_DONTNEED);
 }
 
 uint64_t MmapFile::ResidentBytes() const {
   if (data_ == nullptr) return 0;
+  // /proc/self/pagemap holds one u64 per virtual page; bit 63 is set
+  // while the page is mapped in RAM. mincore would not do: it reports
+  // page-cache residency, which MADV_DONTNEED leaves untouched.
+  static const int pagemap =
+      ::open("/proc/self/pagemap", O_RDONLY | O_CLOEXEC);
+  if (pagemap < 0) return 0;
   const size_t page = PageSize();
   const size_t pages = (size_ + page - 1) / page;
-  std::vector<unsigned char> vec(pages);
-  if (::mincore(data_, size_, vec.data()) != 0) return 0;
-  uint64_t resident = 0;
-  for (unsigned char byte : vec) {
-    if (byte & 1) ++resident;
+  std::vector<uint64_t> entries(pages);
+  const size_t bytes = pages * sizeof(uint64_t);
+  const off_t at = static_cast<off_t>(
+      reinterpret_cast<uintptr_t>(data_) / page * sizeof(uint64_t));
+  if (::pread(pagemap, entries.data(), bytes, at) !=
+      static_cast<ssize_t>(bytes)) {
+    return 0;
   }
+  uint64_t resident = 0;
+  for (uint64_t entry : entries) resident += entry >> 63;
   return resident * page;
 }
 

@@ -16,8 +16,8 @@ namespace fdx {
 /// a bounded-memory scan never accumulates mapped residency. Mapped
 /// pages are file-backed and clean (the mapping is PROT_READ), which
 /// means the kernel can reclaim them at any time — `ResidentBytes`
-/// reports how many are currently resident so RSS-ceiling accounting
-/// can subtract them from the polled process figure.
+/// reports how many are currently mapped so RSS-ceiling accounting can
+/// subtract them from the polled process figure.
 ///
 /// Movable, not copyable; the destructor unmaps.
 class MmapFile {
@@ -39,15 +39,16 @@ class MmapFile {
   bool mapped() const { return data_ != nullptr; }
 
   /// Tells the kernel the byte range [offset, offset + length) is done
-  /// with: resident pages are dropped (clean, file-backed — nothing is
-  /// lost, a later touch faults them back in). The range is shrunk to
-  /// whole pages so neighbouring data that is still live is never
-  /// dropped by accident. Safe to call concurrently with readers of
-  /// other ranges.
+  /// with: its pages are unmapped (clean, file-backed — nothing is lost,
+  /// a later touch faults them back in). The range is widened to whole
+  /// pages, so a page shared with a neighbouring range is dropped too;
+  /// a reader of that range merely refaults it. Safe to call
+  /// concurrently with readers of other ranges.
   void AdviseDontNeed(size_t offset, size_t length) const;
 
-  /// Bytes of this mapping currently resident in memory (mincore scan);
-  /// 0 when unmapped or on mincore failure.
+  /// Bytes of this mapping currently mapped into the process — its
+  /// share of the RSS (page-table present bits from /proc/self/pagemap);
+  /// 0 when unmapped or when pagemap cannot be read.
   uint64_t ResidentBytes() const;
 
  private:

@@ -1,6 +1,7 @@
 #ifndef FDX_UTIL_STRING_UTIL_H_
 #define FDX_UTIL_STRING_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -55,6 +56,21 @@ bool IsDouble(std::string_view text);
 
 /// Formats a double with fixed precision (used by report tables).
 std::string FormatDouble(double value, int precision);
+
+/// Locale-free %.17g rendering of a double: parsing the text back gives
+/// the same bits for every finite value. The codec of persisted doubles
+/// (options keys, session snapshots, chunk-store dictionaries).
+std::string ExactDouble(double value);
+
+/// Parses all of `text` as an unsigned integer or a double: no sign on
+/// unsigned types, no whitespace, no trailing bytes, no overflow.
+template <typename T>
+bool ParseExact(std::string_view text, T* out) {
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), *out);
+  return !text.empty() && ec == std::errc() &&
+         ptr == text.data() + text.size();
+}
 
 }  // namespace fdx
 

@@ -430,25 +430,16 @@ TEST_F(GlassoEquivalenceTest, NewtonWarmStartSkipsPathAndConverges) {
   EXPECT_EQ(warm->stats.newton_path_stages, 0u);
   EXPECT_LE(MaxAbsDiff(warm->theta, cold->theta), 1e-8);
   EXPECT_LE(warm->stats.newton_iterations, cold->stats.newton_iterations);
-
-  // The path is an initial-point device only: disabling it changes the
-  // route, not the destination.
-  GlassoOptions no_path = options;
-  no_path.lambda_path = false;
-  auto direct = GraphicalLasso(s, no_path);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(direct->stats.newton_path_stages, 0u);
-  EXPECT_LE(MaxAbsDiff(direct->theta, cold->theta), 1e-8);
 }
 
 TEST_F(GlassoEquivalenceTest, AutoDispatchRoutesByComponentShape) {
   GlassoOptions options = TightOptions();  // solver defaults to kAuto
-  // Small blocks (size 5 < newton_min_block): CD.
+  // Small blocks (size 5 < kNewtonMinBlock): CD.
   auto small = GraphicalLasso(BlockCorrelation(20, 5, 0.4), options);
   ASSERT_TRUE(small.ok());
   EXPECT_EQ(small->stats.newton_blocks, 0u);
   EXPECT_STREQ(small->stats.SolverBackend(), "cd");
-  // Banded screening graph (density < newton_dense_threshold): CD even
+  // Banded screening graph (density < kNewtonDenseThreshold): CD even
   // at size 40.
   Matrix banded(40, 40);
   for (size_t i = 0; i < 40; ++i) {

@@ -68,7 +68,7 @@ TEST_F(RecoveryTest, GlassoFaultTriggersRidgeRetry) {
   // The winning attempt ran with the escalated ridge (base 1e-6 x 10).
   EXPECT_NEAR(diag.ridge_used,
               discoverer.options().glasso.diagonal_ridge *
-                  discoverer.options().recovery.ridge_multiplier,
+                  RecoveryPolicy::kRidgeMultiplier,
               1e-12);
   EXPECT_FALSE(diag.fallback_sequential);
   ASSERT_FALSE(diag.events.empty());
@@ -91,8 +91,7 @@ TEST_F(RecoveryTest, PersistentGlassoFaultFallsBackToSequentialLasso) {
   auto result = discoverer.Discover(FdTable());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const RunDiagnostics& diag = result->diagnostics;
-  EXPECT_EQ(diag.glasso_attempts,
-            discoverer.options().recovery.max_ridge_retries + 1);
+  EXPECT_EQ(diag.glasso_attempts, RecoveryPolicy::kMaxRidgeRetries + 1);
   EXPECT_TRUE(diag.fallback_sequential);
   EXPECT_FALSE(diag.quarantined);
   EXPECT_TRUE(HasFd(result->fds, 0, 1));
@@ -150,16 +149,6 @@ TEST_F(RecoveryTest, DisabledRecoveryFailsFast) {
   EXPECT_EQ(result.status().code(), StatusCode::kNumericalError);
   EXPECT_NE(result.status().message().find("injected fault"),
             std::string::npos);
-}
-
-TEST_F(RecoveryTest, FallbackDisallowedPropagatesError) {
-  ASSERT_TRUE(ArmFaults(kFaultGlassoSweep).ok());
-  FdxOptions options;
-  options.recovery.allow_estimator_fallback = false;
-  options.recovery.allow_quarantine = false;
-  auto result = FdxDiscoverer(options).Discover(FdTable());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNumericalError);
 }
 
 TEST_F(RecoveryTest, SequentialEstimatorFaultWithoutQuarantineCandidates) {

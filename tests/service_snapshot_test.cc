@@ -23,38 +23,80 @@
 #include "util/file_io.h"
 #include "util/fingerprint.h"
 #include "util/socket.h"
+#include "util/string_util.h"
 
 namespace fdx {
 namespace {
 
 Schema TestSchema() { return Schema({"a", "b", "c"}); }
 
+/// Every keyed field away from its default, plus both unkeyed fields a
+/// snapshot keeps.
 FdxOptions NonDefaultOptions() {
   FdxOptions options;
+  options.estimator = StructureEstimator::kSequentialLasso;
   options.lambda = 0.123456789012345678;  // needs %.17g to survive
-  options.time_budget_seconds = 7.5;
+  options.sparsity_threshold = 0.015;
+  options.relative_threshold = 0.55;
+  options.minimum_column_weight = 0.07;
+  options.zero_tolerance = 1e-9;
+  options.normalize_covariance = false;
+  options.ordering = OrderingMethod::kAmd;
   options.transform.seed = (uint64_t{1} << 63) + 7;  // beyond 2^53
+  options.transform.max_pairs_per_attribute = 4096;
+  options.transform.pooled_covariance = true;
+  options.glasso.max_iterations = 77;
+  options.glasso.tolerance = 3e-5;
+  options.glasso.diagonal_ridge = 2e-6;
+  options.glasso.lasso_max_iterations = 321;
+  options.glasso.lasso_tolerance = 5e-7;
+  options.glasso.solver = GlassoSolver::kNewton;
+  options.recovery.enabled = false;
+  options.reuse_solver_state = false;
+  options.threads = 3;
+  options.time_budget_seconds = 7.5;
   return options;
 }
 
 std::string EncodeSession(const std::string& id, const FdxOptions& options) {
-  return EncodeSessionSnapshot(id, TestSchema(), options,
-                               CanonicalOptionsKey(options));
+  return EncodeSessionSnapshot(id, TestSchema(), options);
 }
 
 TEST(SnapshotCodecTest, SessionRoundTripPreservesEverything) {
   const FdxOptions options = NonDefaultOptions();
+  const FdxOptions defaults;
   const std::string text = EncodeSession("s-3", options);
 
   auto decoded = DecodeSessionSnapshot(text);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->id, "s-3");
   EXPECT_EQ(decoded->schema.names(), TestSchema().names());
-  EXPECT_EQ(decoded->options_key, CanonicalOptionsKey(options));
+  // The key renders every keyed field exactly, so equal keys mean every
+  // keyed field survived; no keyed field was left at its default.
+  EXPECT_EQ(CanonicalOptionsKey(decoded->options),
+            CanonicalOptionsKey(options));
+  const std::vector<std::string> fields =
+      Split(CanonicalOptionsKey(options), ';');
+  const std::vector<std::string> default_fields =
+      Split(CanonicalOptionsKey(defaults), ';');
+  ASSERT_EQ(fields.size(), default_fields.size());
+  for (size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_NE(fields[i], default_fields[i]) << "at default: " << fields[i];
+  }
+  EXPECT_EQ(decoded->options.estimator, StructureEstimator::kSequentialLasso);
   EXPECT_EQ(decoded->options.lambda, options.lambda);
+  EXPECT_EQ(decoded->options.ordering, OrderingMethod::kAmd);
+  EXPECT_EQ(decoded->options.transform.seed, options.transform.seed);
+  EXPECT_TRUE(decoded->options.transform.pooled_covariance);
+  EXPECT_EQ(decoded->options.glasso.tolerance, options.glasso.tolerance);
+  EXPECT_EQ(decoded->options.glasso.lasso_tolerance,
+            options.glasso.lasso_tolerance);
+  EXPECT_EQ(decoded->options.glasso.solver, GlassoSolver::kNewton);
+  EXPECT_FALSE(decoded->options.reuse_solver_state);
+  // The two unkeyed fields a session keeps.
+  EXPECT_EQ(decoded->options.threads, options.threads);
   EXPECT_EQ(decoded->options.time_budget_seconds,
             options.time_budget_seconds);
-  EXPECT_EQ(decoded->options.transform.seed, options.transform.seed);
   // Rows are not the snapshot's business: they live in the chunk store
   // (ChunkedTableTest.ExactValueRoundTrip covers cell exactness).
   EXPECT_EQ(text.find("\"batches\""), std::string::npos) << text;
@@ -62,13 +104,21 @@ TEST(SnapshotCodecTest, SessionRoundTripPreservesEverything) {
 
 TEST(SnapshotCodecTest, TamperedOptionsFailVerification) {
   const std::string text = EncodeSession("s-1", NonDefaultOptions());
-  // Flip the persisted lambda; the stored options_key no longer matches.
+  // Change one digit of the persisted lambda inside the options key.
   std::string tampered = text;
   const size_t at = tampered.find("0.12345678901234568");
   ASSERT_NE(at, std::string::npos);
-  tampered.replace(at, 1, "9");
+  tampered.replace(at + 5, 1, "9");
   auto decoded = DecodeSessionSnapshot(tampered);
-  EXPECT_FALSE(decoded.ok());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("checksum"), std::string::npos)
+      << decoded.status().ToString();
+  // The unkeyed fields are covered too.
+  tampered = text;
+  const size_t budget_at = tampered.find("\"7.5\"");
+  ASSERT_NE(budget_at, std::string::npos);
+  tampered.replace(budget_at + 1, 1, "8");
+  EXPECT_FALSE(DecodeSessionSnapshot(tampered).ok());
 }
 
 TEST(SnapshotCodecTest, TruncatedSnapshotFailsLoudly) {

@@ -146,6 +146,46 @@ TEST_F(ChunkedSessionTest, RestartReplaysChunksBitIdentically) {
   }
 }
 
+// Every keyed option survives a restart, the glasso solver included: a
+// session opened with a forced solver restores with that solver and
+// serves the bytes it served before.
+TEST_F(ChunkedSessionTest, ForcedSolverSessionsSurviveRestart) {
+  const std::vector<std::string> opens = {
+      R"({"op":"open","schema":["a","b","c"],"options":{"solver":"newton"}})",
+      R"({"op":"open","schema":["a","b","c"],"options":{"solver":"cd",)"
+      R"("pooled_covariance":true}})"};
+  std::vector<std::string> before;
+  {
+    FdxServer server(DurableOptions());
+    ASSERT_TRUE(server.Start().ok());
+    for (size_t i = 0; i < opens.size(); ++i) {
+      ASSERT_TRUE(IsOk(Request(server.port(), opens[i])));
+      const std::string id = "s-" + std::to_string(i + 1);
+      ASSERT_TRUE(IsOk(Request(server.port(),
+                               R"({"op":"append","session":")" + id +
+                                   R"(","rows":)" + RowsJson(40, 7) + "}")));
+      auto discover = Request(server.port(),
+                              R"({"op":"discover","session":")" + id + "\"}");
+      ASSERT_TRUE(IsOk(discover)) << *discover;
+      before.push_back(*discover);
+    }
+    server.Shutdown();
+  }
+  (void)RemoveFile(state_dir_ + "/cache.json");
+  FdxServer server(DurableOptions());
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.sessions_recovered(), 2u);
+  EXPECT_EQ(server.sessions_recovery_failed(), 0u);
+  for (size_t i = 0; i < before.size(); ++i) {
+    const std::string id = "s-" + std::to_string(i + 1);
+    auto after = Request(server.port(),
+                         R"({"op":"discover","session":")" + id + "\"}");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, before[i]) << id;
+  }
+  server.Shutdown();
+}
+
 TEST_F(ChunkedSessionTest, CorruptStoreIsDroppedOnRestart) {
   {
     FdxServer server(DurableOptions());
@@ -334,34 +374,42 @@ TEST_F(ChunkedSessionTest, TamperedManifestLabelDropsSession) {
   server.Shutdown();
 }
 
-// Version 1 snapshots embedded the rows as JSON cells. This build does
-// not read them: such a file is dropped and counted, its version named
-// in the log line, and the remaining sessions still restore.
+// Older snapshot versions are not read: version 1 embedded the rows as
+// JSON cells, version 2 kept a JSON copy of every option. Such a file is
+// dropped and counted, its version named in the log line, its store
+// swept, and the remaining sessions still restore.
 TEST_F(ChunkedSessionTest, VersionOneSnapshotIsDroppedAndCounted) {
   {
     FdxServer server(DurableOptions());
     ASSERT_TRUE(server.Start().ok());
-    for (int i = 0; i < 2; ++i) {
+    for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(IsOk(
           Request(server.port(), R"({"op":"open","schema":["a","b","c"]})")));
     }
     ASSERT_TRUE(IsOk(Request(server.port(),
-                             R"({"op":"append","session":"s-2","rows":)" +
+                             R"({"op":"append","session":"s-3","rows":)" +
                                  RowsJson(24, 5) + "}")));
     server.Shutdown();
   }
-  // Rewrite s-1 in the version 1 layout: same header, plus the content
-  // fingerprint and the embedded typed-cell batches.
-  const std::string path = state_dir_ + "/sessions/s-1.json";
-  auto current = ReadFileToString(path);
-  ASSERT_TRUE(current.ok());
-  std::string v1 = *current;
-  const size_t version_at = v1.find("\"version\":2");
-  ASSERT_NE(version_at, std::string::npos) << v1;
-  v1.replace(version_at, 11, "\"version\":1");
-  v1.pop_back();  // trailing '}'
-  v1 += R"(,"content":"00","batches":[[[["i","1"],["i","2"],["s","x"]]]]})";
-  ASSERT_TRUE(WriteFileAtomic(path, v1).ok());
+  // Rewrite s-1 in the version 1 layout (the content fingerprint and
+  // the embedded typed-cell batches) and s-2 in the version 2 layout
+  // (the options as a JSON object next to their key).
+  const auto rewrite = [this](const std::string& id, int version,
+                              const std::string& extra) {
+    const std::string path = state_dir_ + "/sessions/" + id + ".json";
+    auto current = ReadFileToString(path);
+    ASSERT_TRUE(current.ok());
+    std::string old = *current;
+    const size_t version_at = old.find("\"version\":3");
+    ASSERT_NE(version_at, std::string::npos) << old;
+    old.replace(version_at, 11, "\"version\":" + std::to_string(version));
+    old.pop_back();  // trailing '}'
+    old += extra + "}";
+    ASSERT_TRUE(WriteFileAtomic(path, old).ok());
+  };
+  rewrite("s-1", 1,
+          R"(,"content":"00","batches":[[[["i","1"],["i","2"],["s","x"]]]])");
+  rewrite("s-2", 2, R"(,"options":{"estimator":"glasso","lambda":"0.06"})");
 
   FdxServer server(DurableOptions());
   ::testing::internal::CaptureStderr();
@@ -369,12 +417,18 @@ TEST_F(ChunkedSessionTest, VersionOneSnapshotIsDroppedAndCounted) {
   const std::string log = ::testing::internal::GetCapturedStderr();
   ASSERT_TRUE(started.ok()) << started.ToString();
   EXPECT_EQ(server.sessions_recovered(), 1u);
-  EXPECT_EQ(server.sessions_recovery_failed(), 1u);
+  EXPECT_EQ(server.sessions_recovery_failed(), 2u);
+  for (const char* id : {"s-1", "s-2"}) {
+    EXPECT_FALSE(
+        ReadFileToString(state_dir_ + "/sessions/" + id + ".json").ok());
+    EXPECT_FALSE(
+        ReadFileToString(state_dir_ + "/stores/" + id + "/manifest.json")
+            .ok());
+  }
   EXPECT_NE(log.find("unsupported version 1"), std::string::npos) << log;
-  EXPECT_FALSE(ReadFileToString(path).ok());
-  EXPECT_FALSE(ReadFileToString(state_dir_ + "/stores/s-1/manifest.json").ok());
+  EXPECT_NE(log.find("unsupported version 2"), std::string::npos) << log;
   auto append =
-      Request(server.port(), R"({"op":"append","session":"s-2","rows":)" +
+      Request(server.port(), R"({"op":"append","session":"s-3","rows":)" +
                                  RowsJson(8, 5) + "}");
   ASSERT_TRUE(IsOk(append)) << *append;
   EXPECT_DOUBLE_EQ(JsonValue::Parse(*append)->NumberOr("total_rows", 0), 32);

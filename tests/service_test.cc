@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -196,9 +197,95 @@ TEST(CanonicalOptionsKeyTest, TracksResultAffectingKnobsOnly) {
   // Output-invariant knobs: threads (determinism contract) and the
   // wall-clock budget must NOT fragment the cache.
   changed = base;
+  changed.glasso.solver = GlassoSolver::kNewton;
+  EXPECT_NE(CanonicalOptionsKey(base), CanonicalOptionsKey(changed));
+
+  // Output-invariant knobs: threads (determinism contract), the
+  // wall-clock budget, and glasso.lambda (Discover overwrites it with
+  // `lambda`) must NOT fragment the cache.
+  changed = base;
   changed.threads = 7;
   changed.time_budget_seconds = 123.0;
+  changed.glasso.lambda = 0.5;
   EXPECT_EQ(CanonicalOptionsKey(base), CanonicalOptionsKey(changed));
+}
+
+TEST(CanonicalOptionsKeyTest, NamesNineteenFields) {
+  const std::string key = CanonicalOptionsKey(FdxOptions{});
+  EXPECT_EQ(std::count(key.begin(), key.end(), '='), 19) << key;
+  EXPECT_EQ(std::count(key.begin(), key.end(), ';'), 18) << key;
+}
+
+TEST(ParseOptionsKeyTest, InvertsCanonicalKey) {
+  FdxOptions options;
+  options.estimator = StructureEstimator::kSequentialLasso;
+  options.lambda = 0.1 + 0.2;  // not representable in %.12g
+  options.ordering = OrderingMethod::kNesdis;
+  options.transform.seed = ~uint64_t{0};
+  options.transform.pooled_covariance = true;
+  options.glasso.solver = GlassoSolver::kCoordinateDescent;
+  options.reuse_solver_state = false;
+  for (const FdxOptions& original : {FdxOptions{}, options}) {
+    const std::string key = CanonicalOptionsKey(original);
+    auto parsed = ParseOptionsKey(key);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(CanonicalOptionsKey(*parsed), key);
+  }
+  auto parsed = ParseOptionsKey(CanonicalOptionsKey(options));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->lambda, options.lambda);
+  EXPECT_EQ(parsed->transform.seed, options.transform.seed);
+  EXPECT_EQ(parsed->glasso.solver, GlassoSolver::kCoordinateDescent);
+}
+
+TEST(ParseOptionsKeyTest, RejectsNonCanonicalSpellings) {
+  const std::string key = CanonicalOptionsKey(FdxOptions{});
+  auto swap = [&key](const std::string& from, const std::string& to) {
+    std::string edited = key;
+    const size_t at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return edited.replace(at, from.size(), to);
+  };
+  EXPECT_FALSE(ParseOptionsKey("").ok());
+  EXPECT_FALSE(ParseOptionsKey(key + ";").ok());
+  EXPECT_FALSE(ParseOptionsKey(key + ";extra=1").ok());
+  EXPECT_FALSE(ParseOptionsKey(swap("ord=heuristic", "ord=mindegree")).ok());
+  EXPECT_FALSE(ParseOptionsKey(swap("seed=7", "seed=007")).ok());
+  EXPECT_FALSE(ParseOptionsKey(swap("seed=7", "seed=+7")).ok());
+  EXPECT_FALSE(ParseOptionsKey(swap("est=0", "est=2")).ok());
+  EXPECT_FALSE(ParseOptionsKey(swap("gsolver=0", "gsolver=3")).ok());
+  EXPECT_FALSE(ParseOptionsKey(swap("norm=1", "norm=2")).ok());
+  EXPECT_FALSE(ParseOptionsKey(swap("est=0;lam=", "lam=")).ok());
+}
+
+// Every truncation and every single-byte change of a canonical key
+// either fails to parse or is itself canonical: no damaged key is ever
+// accepted as a different spelling of some options.
+TEST(ParseOptionsKeyTest, EveryTruncationAndByteChangeFailsOrRoundTrips) {
+  FdxOptions options;
+  options.lambda = 0.1 + 0.2;
+  options.glasso.solver = GlassoSolver::kNewton;
+  for (const FdxOptions& original : {FdxOptions{}, options}) {
+    const std::string key = CanonicalOptionsKey(original);
+    for (size_t keep = 0; keep < key.size(); ++keep) {
+      const std::string cut = key.substr(0, keep);
+      auto parsed = ParseOptionsKey(cut);
+      if (parsed.ok()) {
+        EXPECT_EQ(CanonicalOptionsKey(*parsed), cut);
+      }
+    }
+    for (size_t at = 0; at < key.size(); ++at) {
+      for (int byte = 0; byte < 256; ++byte) {
+        std::string mutated = key;
+        mutated[at] = static_cast<char>(byte);
+        if (mutated == key) continue;
+        auto parsed = ParseOptionsKey(mutated);
+        if (parsed.ok()) {
+          EXPECT_EQ(CanonicalOptionsKey(*parsed), mutated);
+        }
+      }
+    }
+  }
 }
 
 TEST(ParseOptionsJsonTest, AppliesKnownKeys) {
@@ -238,6 +325,30 @@ TEST(ParseOptionsJsonTest, RejectsUnknownAndMistypedKeys) {
   auto not_object = JsonValue::Parse("[1]");
   ASSERT_TRUE(not_object.ok());
   EXPECT_FALSE(ParseOptionsJson(*not_object, FdxOptions{}).ok());
+}
+
+TEST(ParseOptionsJsonTest, RejectsMalformedCounts) {
+  for (const char* text :
+       {R"({"threads":-1})", R"({"seed":1e300})", R"({"seed":-0.5})",
+        R"({"max_pairs":1.5})", R"({"max_pairs":1e16})",
+        R"({"threads":2.000001})"}) {
+    auto json = JsonValue::Parse(text);
+    ASSERT_TRUE(json.ok()) << text;
+    auto options = ParseOptionsJson(*json, FdxOptions{});
+    ASSERT_FALSE(options.ok()) << text;
+    EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(options.status().message().find("must be an integer"),
+              std::string::npos)
+        << options.status().ToString();
+  }
+  auto json = JsonValue::Parse(
+      R"({"threads":0,"seed":9007199254740992,"max_pairs":64})");
+  ASSERT_TRUE(json.ok());
+  auto options = ParseOptionsJson(*json, FdxOptions{});
+  ASSERT_TRUE(options.ok()) << options.status().ToString();
+  EXPECT_EQ(options->threads, 0u);
+  EXPECT_EQ(options->transform.seed, uint64_t{1} << 53);
+  EXPECT_EQ(options->transform.max_pairs_per_attribute, 64u);
 }
 
 TEST(JsonCellToValueTest, MapsKinds) {

@@ -97,6 +97,33 @@ TEST(MmapFileTest, MapsReadsAndReleases) {
   ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
 }
 
+// Column slices of a spilled chunk start and end mid-page (32-byte
+// header, rows * 4-byte slices). Once every column has been read, no
+// page of any chunk mapping may stay mapped: pages straddling two
+// slices are released along with the slice that finishes them.
+TEST(StoreIoTest, ReadingEveryColumnLeavesNoPageMapped) {
+  const std::string dir = FreshDir("residency");
+  const Table table = IoTable(9000);
+  {
+    auto store = ChunkedTable::Create(table.schema(), dir);
+    ASSERT_TRUE(store.ok());
+    AppendInChunks(table, 3001, &store.value());
+  }
+  auto store = ChunkedTable::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  ASSERT_EQ(store.value().num_chunks(), 3u);
+  const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  ASSERT_NE(3001 * 4 % page, 0u);
+  const auto codes = AllCodes(store.value());
+  EXPECT_EQ(store.value().mmap_fallbacks(), 0u);
+  EXPECT_EQ(store.value().MappedResidentBytes(), 0u);
+  const EncodedTable encoded = EncodedTable::Encode(table);
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    EXPECT_EQ(codes[c], encoded.column_codes(c)) << "col " << c;
+  }
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
 TEST(MmapFileTest, EmptyFileAndMissingFile) {
   const std::string dir = FreshDir("mmap_edge");
   ASSERT_TRUE(EnsureDirectory(dir).ok());

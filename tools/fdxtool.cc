@@ -108,7 +108,9 @@ int RejectFlag(const Status& status) {
   return 2;
 }
 
-FdxOptions OptionsFromArgs(const Args& args) {
+/// The discoverer flags. A malformed --solver or --ordering is a named
+/// error (exit 2 through RejectFlag), never a silent run on the default.
+Result<FdxOptions> OptionsFromArgs(const Args& args) {
   FdxOptions options;
   options.lambda = args.GetDouble("lambda", options.lambda);
   options.time_budget_seconds =
@@ -124,18 +126,16 @@ FdxOptions OptionsFromArgs(const Args& args) {
   if (!ordering.empty()) {
     auto parsed = ParseOrderingMethod(ordering);
     if (!parsed.ok()) {
-      std::fprintf(stderr, "warning: %s; using default ordering\n",
-                   parsed.status().ToString().c_str());
-    } else {
-      options.ordering = *parsed;
+      return Status::InvalidArgument(
+          "--ordering must be one of natural|heuristic|mindegree|amd|"
+          "colamd|metis|nesdis, got \"" + ordering + "\"");
     }
+    options.ordering = *parsed;
   }
   const std::string solver = args.Get("solver");
   if (!solver.empty() && !ParseGlassoSolver(solver, &options.glasso.solver)) {
-    std::fprintf(stderr,
-                 "warning: unknown --solver=%s (want auto|cd|newton); "
-                 "using auto\n",
-                 solver.c_str());
+    return Status::InvalidArgument(
+        "--solver must be one of auto|cd|newton, got \"" + solver + "\"");
   }
   return options;
 }
@@ -216,8 +216,9 @@ constexpr int64_t kMaxMemoryMb = int64_t{1} << 40;
 /// store, then run the bounded-memory transform + the usual structure
 /// learning under a process-RSS ceiling. Bit-identical results to the
 /// in-memory path (EmitFds* with --stable makes that checkable by cmp).
-int StreamingDiscover(const Args& args, const std::string& path,
-                      uint64_t rss_limit, size_t chunk_rows) {
+int StreamingDiscover(const Args& args, const FdxOptions& fdx,
+                      const std::string& path, uint64_t rss_limit,
+                      size_t chunk_rows) {
   std::string store_dir = args.Get("store-dir");
   const bool temp_store = store_dir.empty();
   if (temp_store) {
@@ -248,7 +249,7 @@ int StreamingDiscover(const Args& args, const std::string& path,
   }
 
   StoreDiscoverOptions options;
-  options.fdx = OptionsFromArgs(args);
+  options.fdx = fdx;
   options.rss_limit_bytes = rss_limit;
   // Decoded columns may use at most a quarter of the ceiling; the rest
   // is left for dictionaries, counts, and the process baseline.
@@ -271,8 +272,10 @@ int Discover(const Args& args) {
     std::fprintf(stderr, "usage: fdxtool discover <csv> [flags]\n");
     return 2;
   }
-  // The beyond-RAM flags are checked before anything is read: a
-  // malformed ceiling must not drop the user onto the unbounded path.
+  // Flags are checked before anything is read: a malformed ceiling must
+  // not drop the user onto the unbounded path.
+  const Result<FdxOptions> options = OptionsFromArgs(args);
+  if (!options.ok()) return RejectFlag(options.status());
   const Result<int64_t> chunk_rows = ParseIntFlag(
       "--chunk-rows", args.Get("chunk-rows", "65536"), 1, kMaxChunkRows);
   if (!chunk_rows.ok()) return RejectFlag(chunk_rows.status());
@@ -285,7 +288,7 @@ int Discover(const Args& args) {
           "--max-memory-mb must be a number of megabytes in (0, " +
           std::to_string(kMaxMemoryMb) + "], got \"" + max_memory + "\""));
     }
-    return StreamingDiscover(args, args.positional()[0],
+    return StreamingDiscover(args, *options, args.positional()[0],
                              static_cast<uint64_t>(mb * 1024.0 * 1024.0),
                              static_cast<size_t>(*chunk_rows));
   }
@@ -294,7 +297,7 @@ int Discover(const Args& args) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
   }
-  FdxDiscoverer discoverer(OptionsFromArgs(args));
+  FdxDiscoverer discoverer(*options);
   auto result = discoverer.Discover(*table);
   if (!result.ok()) return FailWith(result.status());
   if (args.Get("format") == "json") {
@@ -312,12 +315,14 @@ int Profile(const Args& args) {
     std::fprintf(stderr, "usage: fdxtool profile <csv> [flags]\n");
     return 2;
   }
+  const Result<FdxOptions> options = OptionsFromArgs(args);
+  if (!options.ok()) return RejectFlag(options.status());
   auto table = LoadTable(args, args.positional()[0]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
   }
-  FdxDiscoverer discoverer(OptionsFromArgs(args));
+  FdxDiscoverer discoverer(*options);
   auto result = discoverer.Discover(*table);
   if (!result.ok()) return FailWith(result.status());
   const Schema& schema = table->schema();
@@ -428,6 +433,8 @@ int Compare(const Args& args) {
     std::fprintf(stderr, "usage: fdxtool compare <csv> [--budget=S]\n");
     return 2;
   }
+  const Result<FdxOptions> options = OptionsFromArgs(args);
+  if (!options.ok()) return RejectFlag(options.status());
   auto table = LoadTable(args, args.positional()[0]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
@@ -436,7 +443,7 @@ int Compare(const Args& args) {
   RunnerConfig config;
   config.time_budget_seconds = args.GetDouble("budget", 30.0);
   config.expected_error = args.GetDouble("error", 0.01);
-  config.fdx = OptionsFromArgs(args);
+  config.fdx = *options;
   std::printf("time budget: %s s per method\n\n",
               FormatDouble(config.time_budget_seconds, 1).c_str());
   ReportTable report({"method", "time (s)", "# FDs", "status"});
@@ -456,13 +463,15 @@ int Report(const Args& args) {
     std::fprintf(stderr, "usage: fdxtool report <csv>\n");
     return 2;
   }
+  const Result<FdxOptions> fdx = OptionsFromArgs(args);
+  if (!fdx.ok()) return RejectFlag(fdx.status());
   auto table = LoadTable(args, args.positional()[0]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
   }
   ProfilerOptions options;
-  options.fdx = OptionsFromArgs(args);
+  options.fdx = *fdx;
   auto profile = ProfileTable(*table, options);
   if (!profile.ok()) return FailWith(profile.status());
   std::printf("%s", RenderProfile(*profile, table->schema()).c_str());
