@@ -64,12 +64,20 @@ double ScoreVariant(const Table& noisy, const FdSet& truth,
     return result.ok() ? ScoreFdsUndirected(result->fds, truth).f1 : -1.0;
   }
   if (variant == "zero-mean") {
-    auto transformed = PairTransform(noisy, {});
-    if (!transformed.ok()) return -1.0;
-    Vector zero(transformed->cols(), 0.0);
-    auto cov = CovarianceWithMean(*transformed, zero);
-    if (!cov.ok()) return -1.0;
-    auto result = discoverer.DiscoverFromCovariance(*cov);
+    // E[Z Z^T] of the binary samples is their co-occurrence count over N.
+    auto counts = PairTransformCounts(noisy, {});
+    if (!counts.ok()) return -1.0;
+    const size_t k = counts->counts.size();
+    const double inv_n = 1.0 / static_cast<double>(counts->num_samples);
+    Matrix second_moment(k, k);
+    for (size_t x = 0; x < k; ++x) {
+      for (size_t y = x; y < k; ++y) {
+        second_moment(x, y) =
+            static_cast<double>(counts->co_counts[x * k + y]) * inv_n;
+        second_moment(y, x) = second_moment(x, y);
+      }
+    }
+    auto result = discoverer.DiscoverFromCovariance(second_moment);
     return result.ok() ? ScoreFdsUndirected(result->fds, truth).f1 : -1.0;
   }
   return -1.0;

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <numeric>
-#include <utility>
 
 #include "core/pairs.h"
 #include "core/transform_kernels.h"
+#include "linalg/bitmatrix.h"
 #include "util/thread_pool.h"
 
 namespace fdx {
@@ -32,7 +31,6 @@ struct TransformSetup {
   EncodedTable encoded;
   std::vector<uint32_t> shuffled;
   std::vector<uint64_t> attr_seeds;
-  size_t per_attr = 0;
 };
 
 Result<TransformSetup> PrepareTransform(const Table& table,
@@ -44,7 +42,6 @@ Result<TransformSetup> PrepareTransform(const Table& table,
   setup.encoded = EncodedTable::Encode(table);
   PrepareTransformStreams(options.seed, n, k, &setup.shuffled,
                           &setup.attr_seeds);
-  setup.per_attr = PairsPerAttribute(n, options.max_pairs_per_attribute);
   return setup;
 }
 
@@ -60,72 +57,6 @@ inline bool CheckDeadline(const TransformOptions& options,
 }
 
 }  // namespace
-
-Result<BitMatrix> PairTransformPacked(const Table& table,
-                                      const TransformOptions& options) {
-  FDX_ASSIGN_OR_RETURN(TransformSetup setup, PrepareTransform(table, options));
-  const size_t k = setup.encoded.num_columns();
-  std::atomic<bool> expired{false};
-  std::mutex profile_mu;
-
-  // Phase 1: sort every attribute pass (independent counting sorts).
-  // The orders are kept so phase 2 can parallelize over *output columns*
-  // instead of passes: one writer per column bit-vector, no word shared
-  // between threads, bit-identical at any thread count.
-  std::vector<AttributePass> passes(k);
-  ParallelFor(0, k, options.threads, [&](size_t lo, size_t hi) {
-    StageTimes local;
-    Stopwatch watch;
-    for (size_t attr = lo; attr < hi; ++attr) {
-      if (CheckDeadline(options, &expired)) break;
-      watch.Reset();
-      passes[attr].Reset(setup.encoded, setup.shuffled, attr,
-                         options.max_pairs_per_attribute,
-                         setup.attr_seeds[attr]);
-      local.sort += watch.ElapsedSeconds();
-    }
-    local.MergeInto(options.profile, &profile_mu);
-  });
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::Timeout("pair transform: time budget exhausted");
-  }
-
-  // Phase 2: pack the equality bits, one column per writer. Column c's
-  // bit r is sample r = pass * per_attr + pair_index, so each column is
-  // appended sequentially across all passes.
-  BitMatrix bits(setup.per_attr * k, k);
-  ParallelFor(0, k, options.threads, [&](size_t lo, size_t hi) {
-    StageTimes local;
-    Stopwatch watch;
-    PackScratch scratch;
-    for (size_t col = lo; col < hi; ++col) {
-      if (CheckDeadline(options, &expired)) break;
-      watch.Reset();
-      ColumnBitWriter writer(bits.column_words(col));
-      for (size_t attr = 0; attr < k; ++attr) {
-        AppendPassColumnBits(setup.encoded.column_codes(col), passes[attr],
-                             &writer, &scratch);
-      }
-      writer.Flush();
-      local.pack += watch.ElapsedSeconds();
-    }
-    local.MergeInto(options.profile, &profile_mu);
-  });
-  if (expired.load(std::memory_order_relaxed)) {
-    return Status::Timeout("pair transform: time budget exhausted");
-  }
-  return bits;
-}
-
-Result<Matrix> PairTransform(const Table& table,
-                             const TransformOptions& options) {
-  FDX_ASSIGN_OR_RETURN(BitMatrix bits, PairTransformPacked(table, options));
-  Matrix out(bits.rows(), bits.cols());
-  ParallelFor(0, bits.rows(), options.threads, [&](size_t lo, size_t hi) {
-    bits.UnpackRows(lo, hi, &out);
-  });
-  return out;
-}
 
 Status AccumulatePasses(const std::vector<std::vector<int32_t>>& columns,
                         const std::vector<size_t>& cardinalities,

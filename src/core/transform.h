@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "data/table.h"
-#include "linalg/bitmatrix.h"
 #include "linalg/matrix.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -14,8 +13,9 @@
 namespace fdx {
 
 /// Wall-clock breakdown of one transform call, filled when
-/// TransformOptions::profile points here. Purely observational (the
-/// bench's sort/pack/accumulate report); never influences results.
+/// TransformOptions::profile points here. Purely observational
+/// (perfbench's core.transform.* and store.transform.* metrics); never
+/// influences results.
 /// Seconds are summed across attribute passes and threads, so with T
 /// threads the total can exceed the call's wall time.
 struct TransformProfile {
@@ -71,19 +71,8 @@ struct TransformOptions {
 ///      popcount(col_x), co_counts[x][y] = popcount(col_x AND col_y) —
 ///      all-integer, hence bit-identical at any thread count.
 ///
-/// PairTransformPacked returns the packed sample matrix itself (pass
-/// p's samples are rows [p * pairs_per_pass, (p+1) * pairs_per_pass));
-/// PairTransform unpacks it into the dense 0/1 double matrix for
-/// callers that need one; PairTransformCounts and PairTransformMoments
-/// stream pass-by-pass and never materialize the full matrix at all.
-Result<BitMatrix> PairTransformPacked(const Table& table,
-                                      const TransformOptions& options = {});
-
-/// Materialized transform output: an (n_pairs x k) 0/1 sample matrix of
-/// the FDX model variables. Used by tests, the ablation benches, and
-/// small inputs. Exactly UnpackRows(PairTransformPacked(...)).
-Result<Matrix> PairTransform(const Table& table,
-                             const TransformOptions& options = {});
+/// Both entry points below stream pass-by-pass, holding one pass of bits
+/// per thread; the (n * k) x k sample matrix is never materialized.
 
 /// Raw integer moments of the transform: per-column indicator sums and
 /// upper-triangular co-occurrence counts (y >= x at [x * k + y],
@@ -98,9 +87,8 @@ struct TransformCounts {
 Result<TransformCounts> PairTransformCounts(
     const Table& table, const TransformOptions& options = {});
 
-/// Same pair construction as PairTransform, but streams the samples into
-/// the mean vector and covariance matrix without materializing the
-/// (n * k) x k sample matrix (packed or dense). Equality indicators are
+/// The transform's mean vector and covariance matrix, streamed from the
+/// same integer moments as PairTransformCounts. Equality indicators are
 /// binary, so the cross-moment matrix is an integer co-occurrence count;
 /// this keeps the computation exact. This is the production path of
 /// FdxDiscoverer.

@@ -1,10 +1,9 @@
 #ifndef FDX_LINALG_BITMATRIX_H_
 #define FDX_LINALG_BITMATRIX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "linalg/matrix.h"
 
 namespace fdx {
 
@@ -33,10 +32,6 @@ class BitMatrix {
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
-  bool empty() const { return rows_ == 0 || cols_ == 0; }
-
-  /// Words per column (= ceil(rows / 64)).
-  size_t words_per_column() const { return words_per_column_; }
 
   uint64_t* column_words(size_t c) {
     return bits_.data() + c * words_per_column_;
@@ -52,31 +47,14 @@ class BitMatrix {
     return (column_words(col)[row >> 6] >> (row & 63)) & 1;
   }
 
-  /// Accumulates the integer moments of the word range [word_lo, word_hi)
-  /// of every column into caller-owned accumulators:
+  /// Accumulates the integer moments of every column into caller-owned
+  /// accumulators:
   ///   counts[x]           += popcount of column x
   ///   co_counts[x*k + y]  += popcount(col_x AND col_y)   for y >= x
   /// (upper triangle only, diagonal included; k = cols()). The kernel is
   /// word-blocked so the active slice of every column stays cache
   /// resident while the k^2/2 column pairs stream over it.
-  void AccumulateMoments(size_t word_lo, size_t word_hi, uint64_t* counts,
-                         uint64_t* co_counts) const;
-
-  /// Whole-matrix variant of the above.
-  void AccumulateMoments(uint64_t* counts, uint64_t* co_counts) const {
-    AccumulateMoments(0, words_per_column_, counts, co_counts);
-  }
-
-  /// Unpacks rows [row_lo, row_hi) into the same rows of a dense
-  /// row-major matrix (which must be rows() x cols()), writing exact
-  /// 0.0 / 1.0 doubles.
-  void UnpackRows(size_t row_lo, size_t row_hi, Matrix* dense) const;
-
-  /// Bitwise equality (same shape and words).
-  bool IdenticalTo(const BitMatrix& other) const {
-    return rows_ == other.rows_ && cols_ == other.cols_ &&
-           bits_ == other.bits_;
-  }
+  void AccumulateMoments(uint64_t* counts, uint64_t* co_counts) const;
 
  private:
   size_t rows_ = 0;

@@ -60,9 +60,9 @@ struct GlassoOptions {
   /// Worker threads for the per-component fan-out of the fast solver
   /// (0 = FDX_THREADS / hardware concurrency). Every component is solved
   /// serially and written to disjoint output cells, so the result is
-  /// bit-identical at any thread count. Ignored by the reference solver.
+  /// bit-identical at any thread count.
   size_t threads = 0;
-  /// Optional warm start (fast solver only; the reference ignores both).
+  /// Optional warm start.
   /// `warm_w` seeds the off-diagonal of the working covariance estimate
   /// and `warm_theta` seeds the per-column lasso coefficients via
   /// beta_j = -theta_{.j} / theta_jj. Both must be k x k views of a
@@ -72,8 +72,7 @@ struct GlassoOptions {
   /// buy sweeps, not a different answer. Non-owning.
   const Matrix* warm_w = nullptr;
   const Matrix* warm_theta = nullptr;
-  /// Per-component solver backend (fast solver only; the reference is
-  /// always coordinate descent). See GlassoSolver.
+  /// Per-component solver backend. See GlassoSolver.
   GlassoSolver solver = GlassoSolver::kAuto;
 };
 
@@ -141,7 +140,7 @@ struct GlassoResult {
   Matrix w;      ///< Estimated covariance (S + lambda on the diagonal).
   Matrix theta;  ///< Sparse precision matrix.
   size_t sweeps = 0;  ///< Block sweeps until convergence (max over blocks).
-  /// Populated by the fast solver; default-initialized by the reference.
+  /// Populated by GraphicalLasso.
   GlassoStats stats;
 };
 
@@ -168,14 +167,6 @@ std::vector<std::vector<size_t>> GlassoScreenComponents(const Matrix& s,
 /// Deterministic for a fixed input at any thread count.
 Result<GlassoResult> GraphicalLasso(const Matrix& s,
                                     const GlassoOptions& options);
-
-/// The pre-decomposition solver: one dense block-coordinate loop over
-/// all k columns with per-column submatrix materialization. Kept as the
-/// equivalence oracle for the fast path (same fixed point, same
-/// sparsity-pattern symmetrization contract) and for A/B benchmarks.
-/// Ignores `threads` and the warm-start fields.
-Result<GlassoResult> GraphicalLassoReference(const Matrix& s,
-                                             const GlassoOptions& options);
 
 }  // namespace fdx
 

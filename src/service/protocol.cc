@@ -132,6 +132,10 @@ Result<FdxOptions> ParseOptionsJson(const JsonValue& json,
             "options.estimator must be \"glasso\" or \"seqlasso\"");
       }
     } else if (key == "lambda" && value.is_number()) {
+      if (value.number_value() < 0.0) {
+        return Status::InvalidArgument("options.lambda must be >= 0, got " +
+                                       ExactDouble(value.number_value()));
+      }
       options.lambda = value.number_value();
     } else if (key == "tau" && value.is_number()) {
       options.sparsity_threshold = value.number_value();

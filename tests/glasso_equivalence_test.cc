@@ -4,13 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "linalg/glasso.h"
+#include "linalg/lasso.h"
 #include "linalg/stats.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
@@ -64,6 +67,173 @@ Matrix BlockCorrelation(size_t k, size_t block, double rho) {
     }
   }
   return s;
+}
+
+/// Banded correlation rho^|i-j|: one sparse connected component.
+Matrix BandedCorrelation(size_t k, double rho) {
+  Matrix s(k, k);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) {
+      s(i, j) = std::pow(rho, std::fabs(static_cast<double>(i) -
+                                        static_cast<double>(j)));
+    }
+  }
+  return s;
+}
+
+/// Equicorrelation rho: one dense component.
+Matrix DenseCorrelation(size_t k, double rho) {
+  Matrix s(k, k);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) s(i, j) = i == j ? 1.0 : rho;
+  }
+  return s;
+}
+
+/// Coupled blocks in the first half, free-standing variables in the
+/// second: singleton closures alongside real block solves.
+Matrix MixedCorrelation(size_t k, size_t block, double rho) {
+  Matrix s = BlockCorrelation(k, block, rho);
+  for (size_t i = k / 2; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) {
+      if (i != j) {
+        s(i, j) = 0.0;
+        s(j, i) = 0.0;
+      }
+    }
+  }
+  return s;
+}
+
+/// Default options tightened to the verification tolerances of the
+/// structure grid: sweep tolerance 1e-6 and inner lasso 1e-9, so the
+/// comparison measures solver disagreement, not where each stops.
+GlassoOptions VerifyOptions() {
+  GlassoOptions options;
+  options.tolerance = std::min(options.tolerance, 1e-6);
+  options.lasso_tolerance = std::min(options.lasso_tolerance, 1e-9);
+  return options;
+}
+
+/// The pre-decomposition solver, kept here as the equivalence oracle of
+/// the fast path: one dense block-coordinate loop over all k columns
+/// with per-column submatrix materialization. Same fixed point and same
+/// sparsity-pattern symmetrization contract as GraphicalLasso; ignores
+/// `threads`, `solver` and the warm-start fields, and leaves `stats`
+/// default-initialized.
+Result<GlassoResult> GraphicalLassoReference(const Matrix& s,
+                                             const GlassoOptions& options) {
+  const size_t k = s.rows();
+  if (k == 0 || s.cols() != k) {
+    return Status::InvalidArgument("glasso needs a non-empty square matrix");
+  }
+  if (!s.IsSymmetric(1e-6)) {
+    return Status::InvalidArgument("glasso needs a symmetric matrix");
+  }
+
+  GlassoResult result;
+  result.w = s;
+  for (size_t j = 0; j < k; ++j) {
+    result.w(j, j) += options.lambda + options.diagonal_ridge;
+  }
+
+  if (k == 1) {
+    result.theta = Matrix(1, 1);
+    result.theta(0, 0) = 1.0 / result.w(0, 0);
+    return result;
+  }
+
+  // Warm-started lasso coefficients, one (k-1)-vector per column.
+  std::vector<Vector> betas(k, Vector(k - 1, 0.0));
+
+  // Convergence scale: mean absolute off-diagonal of S.
+  double s_scale = 0.0;
+  for (size_t a = 0; a < k; ++a) {
+    for (size_t b = 0; b < k; ++b) {
+      if (a != b) s_scale += std::fabs(s(a, b));
+    }
+  }
+  s_scale /= static_cast<double>(k * (k - 1));
+  if (s_scale <= 0.0) s_scale = 1.0;
+
+  LassoOptions lasso_options;
+  lasso_options.lambda = options.lambda;
+  lasso_options.max_iterations = options.lasso_max_iterations;
+  lasso_options.tolerance = options.lasso_tolerance;
+  lasso_options.deadline = options.deadline;
+
+  Matrix q(k - 1, k - 1);
+  Vector c(k - 1, 0.0);
+  std::vector<size_t> rest(k - 1);
+
+  for (size_t sweep = 0; sweep < options.max_iterations; ++sweep) {
+    if (options.deadline != nullptr && options.deadline->Expired()) {
+      return Status::Timeout("glasso: time budget exhausted after " +
+                             std::to_string(sweep) + " sweeps");
+    }
+    FDX_INJECT_FAULT(
+        kFaultGlassoSweep,
+        Status::NumericalError("injected fault: glasso.sweep " +
+                               std::to_string(sweep)));
+    double total_change = 0.0;
+    for (size_t j = 0; j < k; ++j) {
+      size_t pos = 0;
+      for (size_t m = 0; m < k; ++m) {
+        if (m != j) rest[pos++] = m;
+      }
+      for (size_t a = 0; a < k - 1; ++a) {
+        c[a] = s(rest[a], j);
+        for (size_t b = 0; b < k - 1; ++b) q(a, b) = result.w(rest[a], rest[b]);
+      }
+      FDX_RETURN_IF_ERROR(
+          SolveQuadraticLasso(q, c, lasso_options, &betas[j]));
+      // w12 = W11 * beta.
+      for (size_t a = 0; a < k - 1; ++a) {
+        double acc = 0.0;
+        for (size_t b = 0; b < k - 1; ++b) acc += q(a, b) * betas[j][b];
+        total_change += std::fabs(result.w(rest[a], j) - acc);
+        result.w(rest[a], j) = acc;
+        result.w(j, rest[a]) = acc;
+      }
+    }
+    result.sweeps = sweep + 1;
+    const double mean_change =
+        total_change / static_cast<double>(k * (k - 1));
+    if (mean_change < options.tolerance * s_scale) break;
+  }
+
+  // Recover Theta from the final betas:
+  //   theta_jj = 1 / (w_jj - w12^T beta_j),  theta_{rest, j} = -beta theta_jj.
+  result.theta = Matrix(k, k);
+  for (size_t j = 0; j < k; ++j) {
+    size_t pos = 0;
+    for (size_t m = 0; m < k; ++m) {
+      if (m != j) rest[pos++] = m;
+    }
+    double w12_beta = 0.0;
+    for (size_t a = 0; a < k - 1; ++a) {
+      w12_beta += result.w(rest[a], j) * betas[j][a];
+    }
+    const double denom = result.w(j, j) - w12_beta;
+    if (denom <= 0.0) {
+      return Status::NumericalError("glasso: non-positive theta diagonal");
+    }
+    const double theta_jj = 1.0 / denom;
+    result.theta(j, j) = theta_jj;
+    for (size_t a = 0; a < k - 1; ++a) {
+      result.theta(rest[a], j) = -betas[j][a] * theta_jj;
+    }
+  }
+  // Symmetrize. A pair is zero only when both directions were zeroed by
+  // the lasso, preserving the exact sparsity pattern.
+  for (size_t a = 0; a < k; ++a) {
+    for (size_t b = a + 1; b < k; ++b) {
+      const double avg = 0.5 * (result.theta(a, b) + result.theta(b, a));
+      result.theta(a, b) = avg;
+      result.theta(b, a) = avg;
+    }
+  }
+  return result;
 }
 
 double MaxAbsDiff(const Matrix& a, const Matrix& b) {
@@ -226,25 +396,34 @@ TEST_F(GlassoEquivalenceTest, DeterministicAcrossThreadCounts) {
 }
 
 TEST_F(GlassoEquivalenceTest, WarmStartConvergesToTheSameSolution) {
-  const Matrix base = BlockCorrelation(30, 5, 0.4);
-  const Matrix next = BlockCorrelation(30, 5, 0.42);
+  // A small perturbation, and the incremental pattern at scale: a k=100
+  // block correlation moving from 0.4 to 0.403.
+  const struct {
+    size_t k, block;
+    double rho, next_rho;
+  } cells[] = {{30, 5, 0.4, 0.42}, {100, 10, 0.4, 0.403}};
   const GlassoOptions options = TightOptions();
-  auto seed = GraphicalLasso(base, options);
-  ASSERT_TRUE(seed.ok());
-  EXPECT_FALSE(seed->stats.warm_start_used);
+  for (const auto& cell : cells) {
+    const Matrix base = BlockCorrelation(cell.k, cell.block, cell.rho);
+    const Matrix next = BlockCorrelation(cell.k, cell.block, cell.next_rho);
+    auto seed = GraphicalLasso(base, options);
+    ASSERT_TRUE(seed.ok()) << "k=" << cell.k;
+    EXPECT_FALSE(seed->stats.warm_start_used);
 
-  auto cold = GraphicalLasso(next, options);
-  ASSERT_TRUE(cold.ok());
-  GlassoOptions warm_options = options;
-  warm_options.warm_w = &seed->w;
-  warm_options.warm_theta = &seed->theta;
-  auto warm = GraphicalLasso(next, warm_options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(warm->stats.warm_start_used);
-  // Same fixed point, fewer (or equal) iterations to reach it.
-  EXPECT_LE(MaxAbsDiff(warm->theta, cold->theta), 1e-8);
-  EXPECT_LE(warm->stats.lasso_full_passes + warm->stats.lasso_active_passes,
-            cold->stats.lasso_full_passes + cold->stats.lasso_active_passes);
+    auto cold = GraphicalLasso(next, options);
+    ASSERT_TRUE(cold.ok()) << "k=" << cell.k;
+    GlassoOptions warm_options = options;
+    warm_options.warm_w = &seed->w;
+    warm_options.warm_theta = &seed->theta;
+    auto warm = GraphicalLasso(next, warm_options);
+    ASSERT_TRUE(warm.ok()) << "k=" << cell.k;
+    EXPECT_TRUE(warm->stats.warm_start_used) << "k=" << cell.k;
+    // Same fixed point, fewer (or equal) iterations to reach it.
+    EXPECT_LE(MaxAbsDiff(warm->theta, cold->theta), 1e-8) << "k=" << cell.k;
+    EXPECT_LE(warm->stats.lasso_full_passes + warm->stats.lasso_active_passes,
+              cold->stats.lasso_full_passes + cold->stats.lasso_active_passes)
+        << "k=" << cell.k;
+  }
 }
 
 TEST_F(GlassoEquivalenceTest, MismatchedWarmStartIsIgnored) {
@@ -463,6 +642,46 @@ TEST_F(GlassoEquivalenceTest, AutoDispatchRoutesByComponentShape) {
   ASSERT_TRUE(cd.ok());
   EXPECT_EQ(cd->stats.newton_blocks, 0u);
   EXPECT_LE(MaxAbsDiff(routed->theta, cd->theta), 1e-8);
+}
+
+TEST_F(GlassoEquivalenceTest, MatchesReferenceOnStructureGrid) {
+  // Block, banded, dense and mixed correlations at k = 20, 50, 100 under
+  // the default (auto) solver. The reference runs an order tighter than
+  // the solver under test, with its inner lasso tightened along with it
+  // and eight times the sweep cap, so it is the measuring stick.
+  const GlassoOptions options = VerifyOptions();
+  GlassoOptions ref_options = options;
+  ref_options.tolerance = 0.1 * options.tolerance;
+  ref_options.max_iterations = GlassoOptions().max_iterations * 8;
+  size_t newton_cases = 0;
+  for (size_t k : {20u, 50u, 100u}) {
+    const std::pair<const char*, Matrix> grid[] = {
+        {"block", BlockCorrelation(k, 10, 0.4)},
+        {"banded", BandedCorrelation(k, 0.5)},
+        {"dense", DenseCorrelation(k, 0.3)},
+        {"mixed", MixedCorrelation(k, 10, 0.4)}};
+    for (const auto& [structure, s] : grid) {
+      auto fast = GraphicalLasso(s, options);
+      auto reference = GraphicalLassoReference(s, ref_options);
+      ASSERT_TRUE(fast.ok()) << structure << " k=" << k << ": "
+                             << fast.status().ToString();
+      ASSERT_TRUE(reference.ok()) << structure << " k=" << k;
+      EXPECT_LE(MaxAbsDiff(fast->theta, reference->theta), 1e-5)
+          << structure << " k=" << k;
+      // perfbench's linalg.glasso.* metrics read these fields.
+      const GlassoStats& stats = fast->stats;
+      EXPECT_GT(stats.components, 0u) << structure << " k=" << k;
+      EXPECT_GT(stats.screen_seconds, 0.0) << structure << " k=" << k;
+      EXPECT_GT(stats.decompose_seconds, 0.0) << structure << " k=" << k;
+      EXPECT_GT(stats.solve_seconds, 0.0) << structure << " k=" << k;
+      EXPECT_GT(stats.assemble_seconds, 0.0) << structure << " k=" << k;
+      if (std::string(stats.SolverBackend()) == "newton") {
+        EXPECT_GT(stats.newton_iterations, 0u) << structure << " k=" << k;
+        ++newton_cases;
+      }
+    }
+  }
+  EXPECT_GT(newton_cases, 0u) << "no case routed to the newton solver";
 }
 
 TEST_F(GlassoEquivalenceTest, NewtonSweepFaultPropagates) {

@@ -34,34 +34,59 @@ void ExpectBitIdentical(const Matrix& a, const Matrix& b) {
   EXPECT_EQ(a.Subtract(b).MaxAbs(), 0.0);
 }
 
-TEST(ParallelDeterminismTest, PairTransformIdenticalAcrossThreadCounts) {
-  const SyntheticDataset ds = MakeData(500, 9, 11);
-  TransformOptions options;
-  options.seed = 5;
+/// The transform's integer moments and derived doubles at 2 and 8
+/// threads must equal the 1-thread run exactly: per-attribute counting
+/// sorts, bit packing and popcount accumulation are all independent of
+/// the thread count.
+void ExpectTransformIdenticalAcrossThreads(const Table& table,
+                                           TransformOptions options) {
   options.threads = 1;
-  auto serial = PairTransform(ds.noisy, options);
-  ASSERT_TRUE(serial.ok());
+  auto serial_counts = PairTransformCounts(table, options);
+  auto serial_moments = PairTransformMoments(table, options);
+  ASSERT_TRUE(serial_counts.ok() && serial_moments.ok());
   for (size_t threads : {size_t{2}, size_t{8}}) {
     options.threads = threads;
-    auto parallel = PairTransform(ds.noisy, options);
-    ASSERT_TRUE(parallel.ok());
-    ExpectBitIdentical(*serial, *parallel);
+    auto counts = PairTransformCounts(table, options);
+    auto moments = PairTransformMoments(table, options);
+    ASSERT_TRUE(counts.ok() && moments.ok()) << threads << " threads";
+    EXPECT_EQ(counts->counts, serial_counts->counts) << threads;
+    EXPECT_EQ(counts->co_counts, serial_counts->co_counts) << threads;
+    EXPECT_EQ(counts->num_samples, serial_counts->num_samples) << threads;
+    EXPECT_EQ(moments->num_samples, serial_moments->num_samples);
+    for (size_t c = 0; c < serial_moments->mean.size(); ++c) {
+      EXPECT_EQ(moments->mean[c], serial_moments->mean[c]) << threads;
+    }
+    ExpectBitIdentical(serial_moments->cov, moments->cov);
+  }
+}
+
+TEST(ParallelDeterminismTest, PairTransformIdenticalAcrossThreadCounts) {
+  const struct {
+    size_t tuples, attributes;
+    uint64_t data_seed, transform_seed;
+  } grid[] = {{500, 9, 11, 5}, {700, 11, 16, 8}};
+  for (const auto& cell : grid) {
+    const SyntheticDataset ds =
+        MakeData(cell.tuples, cell.attributes, cell.data_seed);
+    TransformOptions options;
+    options.seed = cell.transform_seed;
+    ExpectTransformIdenticalAcrossThreads(ds.noisy, options);
   }
 }
 
 TEST(ParallelDeterminismTest, SampledPairTransformIdenticalAcrossThreads) {
-  const SyntheticDataset ds = MakeData(800, 6, 12);
-  TransformOptions options;
-  options.seed = 9;
-  options.max_pairs_per_attribute = 64;
-  options.threads = 1;
-  auto serial = PairTransform(ds.noisy, options);
-  ASSERT_TRUE(serial.ok());
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    options.threads = threads;
-    auto parallel = PairTransform(ds.noisy, options);
-    ASSERT_TRUE(parallel.ok());
-    ExpectBitIdentical(*serial, *parallel);
+  const struct {
+    size_t tuples, attributes;
+    uint64_t data_seed, transform_seed;
+    size_t max_pairs;
+  } grid[] = {{800, 6, 12, 9, 64}, {900, 7, 17, 4, 100}};
+  for (const auto& cell : grid) {
+    const SyntheticDataset ds =
+        MakeData(cell.tuples, cell.attributes, cell.data_seed);
+    TransformOptions options;
+    options.seed = cell.transform_seed;
+    options.max_pairs_per_attribute = cell.max_pairs;
+    ExpectTransformIdenticalAcrossThreads(ds.noisy, options);
   }
 }
 
@@ -84,53 +109,6 @@ TEST(ParallelDeterminismTest, MomentsIdenticalAcrossThreadCounts) {
       }
       ExpectBitIdentical(serial->cov, parallel->cov);
     }
-  }
-}
-
-TEST(ParallelDeterminismTest, PackedTransformIdenticalAcrossThreadCounts) {
-  // The packed engine's two parallel phases (per-attribute counting
-  // sorts, per-column bit packing) and the integer popcount moments must
-  // all be independent of the thread count — word-for-word.
-  const SyntheticDataset ds = MakeData(700, 11, 16);
-  TransformOptions options;
-  options.seed = 8;
-  options.threads = 1;
-  auto serial_bits = PairTransformPacked(ds.noisy, options);
-  auto serial_counts = PairTransformCounts(ds.noisy, options);
-  ASSERT_TRUE(serial_bits.ok() && serial_counts.ok());
-  auto serial_cov = Covariance(*serial_bits, 1);
-  ASSERT_TRUE(serial_cov.ok());
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    options.threads = threads;
-    auto bits = PairTransformPacked(ds.noisy, options);
-    ASSERT_TRUE(bits.ok());
-    EXPECT_TRUE(bits->IdenticalTo(*serial_bits)) << threads << " threads";
-    auto counts = PairTransformCounts(ds.noisy, options);
-    ASSERT_TRUE(counts.ok());
-    EXPECT_EQ(counts->counts, serial_counts->counts);
-    EXPECT_EQ(counts->co_counts, serial_counts->co_counts);
-    EXPECT_EQ(counts->num_samples, serial_counts->num_samples);
-    // The packed covariance is all-integer inside: bit-identical even
-    // between the serial and sharded accumulations.
-    auto cov = Covariance(*bits, threads);
-    ASSERT_TRUE(cov.ok());
-    ExpectBitIdentical(*serial_cov, *cov);
-  }
-}
-
-TEST(ParallelDeterminismTest, SampledPackedTransformIdenticalAcrossThreads) {
-  const SyntheticDataset ds = MakeData(900, 7, 17);
-  TransformOptions options;
-  options.seed = 4;
-  options.max_pairs_per_attribute = 100;
-  options.threads = 1;
-  auto serial = PairTransformPacked(ds.noisy, options);
-  ASSERT_TRUE(serial.ok());
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    options.threads = threads;
-    auto bits = PairTransformPacked(ds.noisy, options);
-    ASSERT_TRUE(bits.ok());
-    EXPECT_TRUE(bits->IdenticalTo(*serial)) << threads << " threads";
   }
 }
 

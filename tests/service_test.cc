@@ -327,6 +327,23 @@ TEST(ParseOptionsJsonTest, RejectsUnknownAndMistypedKeys) {
   EXPECT_FALSE(ParseOptionsJson(*not_object, FdxOptions{}).ok());
 }
 
+TEST(ParseOptionsJsonTest, RejectsNegativeLambda) {
+  auto negative = JsonValue::Parse(R"({"lambda":-1})");
+  ASSERT_TRUE(negative.ok());
+  auto options = ParseOptionsJson(*negative, FdxOptions{});
+  ASSERT_FALSE(options.ok());
+  EXPECT_EQ(options.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(options.status().message().find("options.lambda must be >= 0"),
+            std::string::npos)
+      << options.status().ToString();
+
+  auto zero = JsonValue::Parse(R"({"lambda":0})");
+  ASSERT_TRUE(zero.ok());
+  auto unpenalized = ParseOptionsJson(*zero, FdxOptions{});
+  ASSERT_TRUE(unpenalized.ok()) << unpenalized.status().ToString();
+  EXPECT_EQ(unpenalized->lambda, 0.0);
+}
+
 TEST(ParseOptionsJsonTest, RejectsMalformedCounts) {
   for (const char* text :
        {R"({"threads":-1})", R"({"seed":1e300})", R"({"seed":-0.5})",

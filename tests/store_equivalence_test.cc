@@ -139,9 +139,13 @@ TEST(StoreEquivalenceTest, BoundedCacheDoesNotChangeResults) {
 TEST(StoreEquivalenceTest, IoModeAndCodecGridIdentical) {
   // The full storage matrix: raw vs varint payloads crossed with mapped
   // reads vs the pread fallback (every map failed by the `store.mmap`
-  // fault point), at degenerate and huge chunk sizes, every cell
-  // bit-identical to the in-memory transform.
+  // fault point) and the resident pass loop vs the wave schedule, at
+  // degenerate and huge chunk sizes, every cell bit-identical to the
+  // in-memory transform.
   const Table table = FdTable(300);
+  // Two of the four decoded columns: too small for the resident branch,
+  // so the passes run in waves of one.
+  const uint64_t wave_cache_bytes = 2 * table.num_rows() * sizeof(int32_t);
   auto memory = PairTransformMoments(table, {});
   ASSERT_TRUE(memory.ok());
   const std::string base =
@@ -157,21 +161,26 @@ TEST(StoreEquivalenceTest, IoModeAndCodecGridIdentical) {
         AppendInChunks(table, chunk_rows, &store.value());
       }
       for (bool fallback : {false, true}) {
-        if (fallback) {
-          ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+        for (uint64_t cache_bytes : {uint64_t{0}, wave_cache_bytes}) {
+          if (fallback) {
+            ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+          }
+          StreamTransformOptions stream;
+          stream.column_cache_bytes = cache_bytes;
+          auto store = ChunkedTable::Open(dir);
+          Result<TransformedMoments> streamed =
+              store.ok() ? StreamTransformMoments(store.value(), stream)
+                         : Result<TransformedMoments>(store.status());
+          DisarmFaults();
+          ASSERT_TRUE(streamed.ok())
+              << chunk_rows << "/" << codec << "/"
+              << (fallback ? "pread" : "mmap") << "/"
+              << (cache_bytes == 0 ? "resident" : "wave") << ": "
+              << streamed.status().message();
+          EXPECT_EQ(store.value().mmap_fallbacks(),
+                    fallback ? store.value().num_chunks() : 0u);
+          ExpectMomentsIdentical(memory.value(), streamed.value());
         }
-        auto store = ChunkedTable::Open(dir);
-        Result<TransformedMoments> streamed =
-            store.ok() ? StreamTransformMoments(store.value(), {})
-                       : Result<TransformedMoments>(store.status());
-        DisarmFaults();
-        ASSERT_TRUE(streamed.ok())
-            << chunk_rows << "/" << codec << "/"
-            << (fallback ? "pread" : "mmap") << ": "
-            << streamed.status().message();
-        EXPECT_EQ(store.value().mmap_fallbacks(),
-                  fallback ? store.value().num_chunks() : 0u);
-        ExpectMomentsIdentical(memory.value(), streamed.value());
       }
       ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
     }

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "core/pairs.h"
 #include "core/transform.h"
 #include "data/csv.h"
 #include "linalg/stats.h"
+#include "store/chunked_table.h"
+#include "store/stream_transform.h"
 #include "synth/generator.h"
 #include "util/reservoir.h"
 
@@ -216,85 +219,120 @@ Table NoisyTiedTable(size_t rows, size_t cols, uint64_t seed) {
   return t;
 }
 
+/// Integer moments of a materialized 0/1 sample matrix, in the
+/// PairTransformCounts layout (upper triangle + diagonal).
+TransformCounts CountsOfMatrix(const Matrix& samples) {
+  const size_t k = samples.cols();
+  TransformCounts out;
+  out.counts.assign(k, 0);
+  out.co_counts.assign(k * k, 0);
+  out.num_samples = samples.rows();
+  for (size_t r = 0; r < samples.rows(); ++r) {
+    for (size_t x = 0; x < k; ++x) {
+      if (samples(r, x) == 0.0) continue;
+      ++out.counts[x];
+      for (size_t y = x; y < k; ++y) {
+        if (samples(r, y) != 0.0) ++out.co_counts[x * k + y];
+      }
+    }
+  }
+  return out;
+}
+
+/// The production counts must be exactly the moments of the reference
+/// sample matrix.
+void ExpectCountsMatchReferenceMatrix(const Table& table,
+                                      const TransformOptions& options) {
+  const TransformCounts ref = CountsOfMatrix(RefTransform(table, options));
+  auto counts = PairTransformCounts(table, options);
+  ASSERT_TRUE(counts.ok()) << counts.status().ToString();
+  EXPECT_EQ(counts->num_samples, ref.num_samples);
+  EXPECT_EQ(counts->counts, ref.counts);
+  EXPECT_EQ(counts->co_counts, ref.co_counts);
+}
+
 TEST(TransformTest, OutputIsBinaryWithExpectedShape) {
   Table t = TableFromCsv("a,b\n1,x\n2,y\n1,x\n3,z\n");
-  auto dt = PairTransform(t);
-  ASSERT_TRUE(dt.ok());
+  const Matrix dt = RefTransform(t, {});
   // Algorithm 2: n pairs per attribute.
-  EXPECT_EQ(dt->rows(), 4u * 2u);
-  EXPECT_EQ(dt->cols(), 2u);
-  for (size_t i = 0; i < dt->rows(); ++i) {
-    for (size_t j = 0; j < dt->cols(); ++j) {
-      const double v = (*dt)(i, j);
+  EXPECT_EQ(dt.rows(), 4u * 2u);
+  EXPECT_EQ(dt.cols(), 2u);
+  for (size_t i = 0; i < dt.rows(); ++i) {
+    for (size_t j = 0; j < dt.cols(); ++j) {
+      const double v = dt(i, j);
       EXPECT_TRUE(v == 0.0 || v == 1.0);
     }
   }
+  auto counts = PairTransformCounts(t);
+  ASSERT_TRUE(counts.ok());
+  EXPECT_EQ(counts->num_samples, 4u * 2u);
+  ExpectCountsMatchReferenceMatrix(t, {});
 }
 
 TEST(TransformTest, RejectsDegenerateInputs) {
   Table empty{Schema({"a"})};
-  EXPECT_FALSE(PairTransform(empty).ok());
+  EXPECT_FALSE(PairTransformCounts(empty).ok());
   Table one_row{Schema({"a"})};
   one_row.AppendRow({Value(int64_t{1})});
-  EXPECT_FALSE(PairTransform(one_row).ok());
+  EXPECT_FALSE(PairTransformCounts(one_row).ok());
   EXPECT_FALSE(PairTransformMoments(empty).ok());
 }
 
 TEST(TransformTest, ConstantColumnAlwaysAgrees) {
   Table t = TableFromCsv("c,v\nk,1\nk,2\nk,3\nk,4\n");
-  auto dt = PairTransform(t);
-  ASSERT_TRUE(dt.ok());
-  for (size_t i = 0; i < dt->rows(); ++i) {
-    EXPECT_DOUBLE_EQ((*dt)(i, 0), 1.0);
-  }
+  auto counts = PairTransformCounts(t);
+  ASSERT_TRUE(counts.ok());
+  EXPECT_EQ(counts->counts[0], counts->num_samples);
+  ExpectCountsMatchReferenceMatrix(t, {});
 }
 
 TEST(TransformTest, NullNeverAgrees) {
   Table t = TableFromCsv("a\n\n\n\n\n");  // all nulls
-  auto dt = PairTransform(t);
-  ASSERT_TRUE(dt.ok());
-  for (size_t i = 0; i < dt->rows(); ++i) {
-    EXPECT_DOUBLE_EQ((*dt)(i, 0), 0.0);
-  }
+  auto counts = PairTransformCounts(t);
+  ASSERT_TRUE(counts.ok());
+  EXPECT_GT(counts->num_samples, 0u);
+  EXPECT_EQ(counts->counts[0], 0u);
+  ExpectCountsMatchReferenceMatrix(t, {});
 }
 
 TEST(TransformTest, FdImpliesConditionalAgreement) {
   // On clean data with FD x -> y, any pair that agrees on x agrees on y.
+  // Checked sample by sample on the reference matrix, whose moments the
+  // production counts reproduce exactly.
   SyntheticConfig config;
   config.num_tuples = 400;
   config.num_attributes = 6;
   config.seed = 3;
   auto ds = GenerateSynthetic(config);
   ASSERT_TRUE(ds.ok());
-  auto dt = PairTransform(ds->clean);
-  ASSERT_TRUE(dt.ok());
+  const Matrix dt = RefTransform(ds->clean, {});
   for (const auto& fd : ds->true_fds) {
-    for (size_t i = 0; i < dt->rows(); ++i) {
+    for (size_t i = 0; i < dt.rows(); ++i) {
       bool lhs_agrees = true;
       for (size_t x : fd.lhs) {
-        if ((*dt)(i, x) == 0.0) {
+        if (dt(i, x) == 0.0) {
           lhs_agrees = false;
           break;
         }
       }
       if (lhs_agrees) {
-        EXPECT_DOUBLE_EQ((*dt)(i, fd.rhs), 1.0);
+        EXPECT_DOUBLE_EQ(dt(i, fd.rhs), 1.0);
       }
     }
   }
+  ExpectCountsMatchReferenceMatrix(ds->clean, {});
 }
 
 TEST(TransformTest, MomentsMatchMaterializedTransform) {
   Table t = TableFromCsv("a,b,c\n1,x,p\n2,y,p\n1,x,q\n3,y,q\n2,x,p\n");
   TransformOptions options;
   options.seed = 99;
-  auto dt = PairTransform(t, options);
+  const Matrix dt = RefTransform(t, options);
   auto moments = PairTransformMoments(t, options);
-  ASSERT_TRUE(dt.ok());
   ASSERT_TRUE(moments.ok());
-  EXPECT_EQ(moments->num_samples, dt->rows());
-  Vector mean = ColumnMeans(*dt);
-  auto cov = Covariance(*dt);
+  EXPECT_EQ(moments->num_samples, dt.rows());
+  Vector mean = ColumnMeans(dt);
+  auto cov = Covariance(dt);
   ASSERT_TRUE(cov.ok());
   for (size_t j = 0; j < 3; ++j) {
     EXPECT_NEAR(moments->mean[j], mean[j], 1e-12);
@@ -311,9 +349,10 @@ TEST(TransformTest, SamplingCapLimitsRows) {
   ASSERT_TRUE(ds.ok());
   TransformOptions options;
   options.max_pairs_per_attribute = 100;
-  auto dt = PairTransform(ds->clean, options);
-  ASSERT_TRUE(dt.ok());
-  EXPECT_EQ(dt->rows(), 100u * 5u);
+  auto counts = PairTransformCounts(ds->clean, options);
+  ASSERT_TRUE(counts.ok());
+  EXPECT_EQ(counts->num_samples, 100u * 5u);
+  ExpectCountsMatchReferenceMatrix(ds->clean, options);
 }
 
 TEST(TransformTest, DeterministicForSeed) {
@@ -395,24 +434,7 @@ TEST_P(PackedEquivalenceTest, MatrixMomentsAndCountsMatchScalarBitwise) {
     options.seed = 17 + k;
     options.max_pairs_per_attribute = max_pairs;
 
-    const Matrix ref_matrix = RefTransform(t, options);
-    auto matrix = PairTransform(t, options);
-    ASSERT_TRUE(matrix.ok());
-    ASSERT_EQ(matrix->rows(), ref_matrix.rows());
-    ASSERT_EQ(matrix->cols(), ref_matrix.cols());
-    EXPECT_EQ(matrix->Subtract(ref_matrix).MaxAbs(), 0.0)
-        << "k=" << k << " max_pairs=" << max_pairs;
-
-    auto packed = PairTransformPacked(t, options);
-    ASSERT_TRUE(packed.ok());
-    ASSERT_EQ(packed->rows(), ref_matrix.rows());
-    for (size_t r = 0; r < packed->rows(); ++r) {
-      for (size_t c = 0; c < k; ++c) {
-        ASSERT_EQ(packed->Get(r, c) ? 1.0 : 0.0, ref_matrix(r, c))
-            << "bit (" << r << "," << c << ") k=" << k
-            << " max_pairs=" << max_pairs;
-      }
-    }
+    ExpectCountsMatchReferenceMatrix(t, options);
 
     const RefMomentsResult ref = RefMoments(t, options);
     auto counts = PairTransformCounts(t, options);
@@ -429,12 +451,6 @@ TEST_P(PackedEquivalenceTest, MatrixMomentsAndCountsMatchScalarBitwise) {
     }
     EXPECT_EQ(moments->cov.Subtract(ref.cov).MaxAbs(), 0.0)
         << "k=" << k << " max_pairs=" << max_pairs;
-
-    // The packed covariance kernel in linalg forms the same integer
-    // moments, so it must agree with the streamed moments bitwise.
-    auto packed_cov = Covariance(*packed, /*threads=*/1);
-    ASSERT_TRUE(packed_cov.ok());
-    EXPECT_EQ(packed_cov->Subtract(moments->cov).MaxAbs(), 0.0);
   }
 }
 
@@ -482,7 +498,8 @@ TEST(TransformTest, AttributePassEnumeratesWithoutMaterializing) {
   std::vector<uint32_t> shuffled(t.num_rows());
   std::iota(shuffled.begin(), shuffled.end(), 0);
   AttributePass pass;
-  pass.Reset(encoded, shuffled, /*attr=*/0, /*max_pairs=*/0, /*seed=*/1);
+  pass.Reset(encoded.column_codes(0), encoded.Cardinality(0), shuffled,
+             /*max_pairs=*/0, /*seed=*/1);
   EXPECT_EQ(pass.num_pairs(), t.num_rows());
   size_t calls = 0;
   size_t last_index = 0;
@@ -495,30 +512,46 @@ TEST(TransformTest, AttributePassEnumeratesWithoutMaterializing) {
   EXPECT_EQ(calls, pass.num_pairs());
   EXPECT_EQ(last_index, pass.num_pairs() - 1);
 
-  pass.Reset(encoded, shuffled, /*attr=*/1, /*max_pairs=*/13, /*seed=*/2);
+  pass.Reset(encoded.column_codes(1), encoded.Cardinality(1), shuffled,
+             /*max_pairs=*/13, /*seed=*/2);
   EXPECT_TRUE(pass.sampled());
   EXPECT_EQ(pass.num_pairs(), 13u);
 }
 
 TEST(TransformTest, PackedRejectsDegenerateInputs) {
   Table empty{Schema({"a"})};
-  EXPECT_FALSE(PairTransformPacked(empty).ok());
   EXPECT_FALSE(PairTransformCounts(empty).ok());
+  Table no_columns{Schema(std::vector<std::string>{})};
+  EXPECT_FALSE(PairTransformCounts(no_columns).ok());
+  EXPECT_FALSE(PairTransformMoments(no_columns).ok());
 }
 
 TEST(TransformTest, ProfileRecordsStageTimings) {
-  const Table t = NoisyTiedTable(500, 6, /*seed=*/3);
-  TransformProfile profile;
-  TransformOptions options;
-  options.profile = &profile;
-  auto moments = PairTransformMoments(t, options);
-  ASSERT_TRUE(moments.ok());
-  EXPECT_GE(profile.sort_seconds, 0.0);
-  EXPECT_GE(profile.pack_seconds, 0.0);
-  EXPECT_GE(profile.accumulate_seconds, 0.0);
-  EXPECT_GT(profile.sort_seconds + profile.pack_seconds +
-                profile.accumulate_seconds,
-            0.0);
+  // Every engine that fills TransformProfile (perfbench's
+  // core.transform.* and store.transform.* metrics) must time each of
+  // its three stages: the in-memory pass loop, the store's resident
+  // branch, and its wave schedule.
+  const Table t = NoisyTiedTable(2000, 6, /*seed=*/3);
+  auto store = ChunkedTable::Create(t.schema(), /*dir=*/"");
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->AppendBatch(t).ok());
+  // Two decoded columns' worth: below the six the resident branch needs,
+  // so the passes run in waves.
+  const uint64_t wave_budget = 2 * t.num_rows() * sizeof(int32_t);
+  for (const std::string engine :
+       {"in-memory", "stream-resident", "stream-wave"}) {
+    TransformProfile profile;
+    StreamTransformOptions stream;
+    stream.transform.profile = &profile;
+    if (engine == "stream-wave") stream.column_cache_bytes = wave_budget;
+    auto moments = engine == "in-memory"
+                       ? PairTransformMoments(t, stream.transform)
+                       : StreamTransformMoments(*store, stream);
+    ASSERT_TRUE(moments.ok()) << engine;
+    EXPECT_GT(profile.sort_seconds, 0.0) << engine;
+    EXPECT_GT(profile.pack_seconds, 0.0) << engine;
+    EXPECT_GT(profile.accumulate_seconds, 0.0) << engine;
+  }
 }
 
 TEST(TransformTest, SortedColumnHasHighAgreement) {

@@ -11,8 +11,8 @@
 //
 // Latency is measured per request type from enqueue to response line
 // (client-perceived, queueing included) and reported as p50/p95/p99
-// alongside aggregate throughput, appended as one labelled run into a
-// JSON benchmark file:
+// alongside aggregate throughput, as one labelled run object printed
+// on stdout or, with --out, merged into a JSON benchmark file:
 //
 //   { "benchmark": "fdxd_load",
 //     "runs": [ { "label": "epoll", "clients": 1000, ...,
@@ -36,7 +36,8 @@
 //                                remainder is `status`)
 //   --label=STR                  run label in the output (default
 //                                "epoll" self-hosted, else "external")
-//   --out=PATH                   benchmark file (default BENCH_service.json)
+//   --out=PATH                   benchmark file to merge the run into
+//                                (default: print the run JSON to stdout)
 //
 // Chaos mode (--chaos) turns the harness into a crash-consistency
 // checker: every --chaos-kill-every'th client abruptly closes its
@@ -122,7 +123,7 @@ struct Config {
   bool chaos = false;
   size_t chaos_kill_every = 3;  ///< every N-th client gets killed once
   std::string label;
-  std::string out = "BENCH_service.json";
+  std::string out;  ///< empty: print the run JSON to stdout
 };
 
 int Usage() {
@@ -604,8 +605,6 @@ std::string RenderRun(const Config& config, const std::string& label,
   json.String(label);
   json.Key("aborted");
   json.Bool(aborted);
-  json.Key("io_mode");
-  json.String(config.self_host ? "epoll" : "external");
   json.Key("clients");
   json.Integer(static_cast<int64_t>(config.clients));
   json.Key("pipeline_depth");
@@ -803,29 +802,39 @@ int Main(int argc, char** argv) {
   // Aborted runs still record their partial results (marked as such) —
   // a crashed daemon should leave evidence, not an empty file.
   const std::string run_json = RenderRun(config, label, &engine, !ok);
-  if (!WriteBenchFile(config.out, label, run_json)) return 1;
+  // Without --out the run JSON owns stdout, so the summary goes to stderr.
+  std::FILE* summary = stdout;
+  if (config.out.empty()) {
+    std::printf("%s\n", run_json.c_str());
+    summary = stderr;
+  } else if (!WriteBenchFile(config.out, label, run_json)) {
+    return 1;
+  }
 
   const double throughput =
       engine.elapsed_seconds() > 0.0
           ? static_cast<double>(engine.total_responses()) /
                 engine.elapsed_seconds()
           : 0.0;
-  std::printf("fdxload[%s]: %llu responses from %zu clients in %.2fs "
-              "(%.0f req/s)%s -> %s\n",
-              label.c_str(),
-              static_cast<unsigned long long>(engine.total_responses()),
-              config.clients, engine.elapsed_seconds(), throughput,
-              ok ? "" : " [ABORTED]", config.out.c_str());
+  std::fprintf(summary,
+               "fdxload[%s]: %llu responses from %zu clients in %.2fs "
+               "(%.0f req/s)%s -> %s\n",
+               label.c_str(),
+               static_cast<unsigned long long>(engine.total_responses()),
+               config.clients, engine.elapsed_seconds(), throughput,
+               ok ? "" : " [ABORTED]",
+               config.out.empty() ? "stdout" : config.out.c_str());
   if (config.chaos) {
-    std::printf("fdxload[%s]: chaos: %llu kills, %llu reconnects, %llu "
-                "resent, %llu fingerprint mismatches, %llu torn lines\n",
-                label.c_str(),
-                static_cast<unsigned long long>(engine.chaos_kills()),
-                static_cast<unsigned long long>(engine.chaos_reconnects()),
-                static_cast<unsigned long long>(engine.chaos_resent()),
-                static_cast<unsigned long long>(
-                    engine.fingerprint_mismatches()),
-                static_cast<unsigned long long>(engine.torn_lines()));
+    std::fprintf(summary,
+                 "fdxload[%s]: chaos: %llu kills, %llu reconnects, %llu "
+                 "resent, %llu fingerprint mismatches, %llu torn lines\n",
+                 label.c_str(),
+                 static_cast<unsigned long long>(engine.chaos_kills()),
+                 static_cast<unsigned long long>(engine.chaos_reconnects()),
+                 static_cast<unsigned long long>(engine.chaos_resent()),
+                 static_cast<unsigned long long>(
+                     engine.fingerprint_mismatches()),
+                 static_cast<unsigned long long>(engine.torn_lines()));
   }
   return ok ? 0 : 1;
 }

@@ -14,6 +14,9 @@
 // --budget=, --tuples=, --attributes=, --noise=, --seed=, --max-pairs=,
 // --time-budget= (wall-clock seconds; expired runs exit 4 with a
 // Timeout status), --no-recovery (fail fast instead of retrying).
+// --lambda (>= 0), --tau, --relative and --time-budget must be finite
+// numbers and --max-pairs an integer >= 0; a malformed value is a usage
+// error (exit 2) reported before any input is read.
 //
 // Beyond-RAM discovery (discover only): --max-memory-mb=N streams the
 // CSV through a spillable chunk store and runs the bounded-memory
@@ -28,8 +31,10 @@
 //
 // Exit codes: 0 ok, 1 error, 2 usage, 3 validation violations, 4 timeout.
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "core/fdx.h"
@@ -108,20 +113,46 @@ int RejectFlag(const Status& status) {
   return 2;
 }
 
-/// The discoverer flags. A malformed --solver or --ordering is a named
-/// error (exit 2 through RejectFlag), never a silent run on the default.
+/// Reads the finite-number flag --`name` into `*value` (left as is when
+/// the flag is absent). The whole value must parse, and with
+/// `non_negative` it must also be >= 0.
+Status ParseNumberFlag(const Args& args, const std::string& name,
+                       bool non_negative, double* value) {
+  const std::string text = args.Get(name);
+  if (text.empty()) return Status::OK();
+  double parsed = 0.0;
+  if (!ParseExact(text, &parsed) || !std::isfinite(parsed) ||
+      (non_negative && parsed < 0.0)) {
+    return Status::InvalidArgument(
+        "--" + name + " must be a finite number" +
+        (non_negative ? " >= 0" : "") + ", got \"" + text + "\"");
+  }
+  *value = parsed;
+  return Status::OK();
+}
+
+/// The discoverer flags. A malformed number, --solver or --ordering is a
+/// named error (exit 2 through RejectFlag), never a silent run on the
+/// default.
 Result<FdxOptions> OptionsFromArgs(const Args& args) {
   FdxOptions options;
-  options.lambda = args.GetDouble("lambda", options.lambda);
-  options.time_budget_seconds =
-      args.GetDouble("time-budget", options.time_budget_seconds);
+  FDX_RETURN_IF_ERROR(ParseNumberFlag(args, "lambda", /*non_negative=*/true,
+                                      &options.lambda));
+  FDX_RETURN_IF_ERROR(ParseNumberFlag(args, "time-budget", false,
+                                      &options.time_budget_seconds));
   if (args.Has("no-recovery")) options.recovery.enabled = false;
-  options.sparsity_threshold =
-      args.GetDouble("tau", options.sparsity_threshold);
-  options.relative_threshold =
-      args.GetDouble("relative", options.relative_threshold);
-  options.transform.max_pairs_per_attribute = static_cast<size_t>(
-      args.GetDouble("max-pairs", 0.0));
+  FDX_RETURN_IF_ERROR(
+      ParseNumberFlag(args, "tau", false, &options.sparsity_threshold));
+  FDX_RETURN_IF_ERROR(
+      ParseNumberFlag(args, "relative", false, &options.relative_threshold));
+  const std::string max_pairs = args.Get("max-pairs");
+  if (!max_pairs.empty()) {
+    FDX_ASSIGN_OR_RETURN(
+        const int64_t pairs,
+        ParseIntFlag("--max-pairs", max_pairs, 0,
+                     std::numeric_limits<int64_t>::max()));
+    options.transform.max_pairs_per_attribute = static_cast<size_t>(pairs);
+  }
   const std::string ordering = args.Get("ordering");
   if (!ordering.empty()) {
     auto parsed = ParseOrderingMethod(ordering);
