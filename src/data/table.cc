@@ -1,9 +1,12 @@
 #include "data/table.h"
 
+#include <bit>
 #include <cassert>
-#include <map>
 #include <numeric>
+#include <string_view>
 #include <unordered_map>
+
+#include "util/thread_pool.h"
 
 namespace fdx {
 
@@ -12,6 +15,11 @@ int Schema::Find(const std::string& name) const {
     if (names_[i] == name) return static_cast<int>(i);
   }
   return -1;
+}
+
+Table::Table(Schema schema, std::vector<std::vector<Value>> columns)
+    : schema_(std::move(schema)), columns_(std::move(columns)) {
+  assert(columns_.size() == schema_.size());
 }
 
 void Table::ReplaceSchema(Schema schema) {
@@ -60,6 +68,46 @@ Table Table::SelectColumns(const std::vector<size_t>& cols) const {
   return out;
 }
 
+uint64_t NumericKey(double value) {
+  if (value != value) return 0x7ff8000000000000;  // the quiet NaN
+  if (value == 0.0) return 0;  // -0.0 joins 0.0
+  return std::bit_cast<uint64_t>(value);
+}
+
+namespace {
+
+/// Encodes one column: codes by first appearance, separate dictionaries
+/// for strings (keyed on the table's own bytes) and numbers (NumericKey).
+/// Returns the cardinality.
+size_t EncodeColumn(const std::vector<Value>& column,
+                    std::vector<int32_t>* codes, size_t* null_count) {
+  std::unordered_map<std::string_view, int32_t> string_dict;
+  std::unordered_map<uint64_t, int32_t> numeric_dict;
+  codes->resize(column.size());
+  int32_t next = 0;
+  for (size_t r = 0; r < column.size(); ++r) {
+    const Value& v = column[r];
+    if (v.is_null()) {
+      (*codes)[r] = EncodedTable::kNullCode;
+      ++*null_count;
+      continue;
+    }
+    if (v.type() == ValueType::kString) {
+      const auto [it, inserted] = string_dict.try_emplace(v.AsString(), next);
+      (*codes)[r] = it->second;
+      if (inserted) ++next;
+    } else {
+      const auto [it, inserted] =
+          numeric_dict.try_emplace(NumericKey(v.ToNumeric()), next);
+      (*codes)[r] = it->second;
+      if (inserted) ++next;
+    }
+  }
+  return static_cast<size_t>(next);
+}
+
+}  // namespace
+
 EncodedTable EncodedTable::Encode(const Table& table) {
   EncodedTable out;
   out.schema_ = table.schema();
@@ -68,35 +116,16 @@ EncodedTable EncodedTable::Encode(const Table& table) {
   out.codes_.resize(k);
   out.cardinalities_.assign(k, 0);
   out.null_counts_.assign(k, 0);
-  for (size_t c = 0; c < k; ++c) {
-    // Separate dictionaries per payload type: strings hash directly,
-    // numerics key on their double value so 3 == 3.0.
-    std::unordered_map<std::string, int32_t> string_dict;
-    std::map<double, int32_t> numeric_dict;
-    auto& codes = out.codes_[c];
-    codes.reserve(out.num_rows_);
-    int32_t next = 0;
-    for (size_t r = 0; r < out.num_rows_; ++r) {
-      const Value& v = table.cell(r, c);
-      if (v.is_null()) {
-        codes.push_back(kNullCode);
-        ++out.null_counts_[c];
-        continue;
-      }
-      int32_t code;
-      if (v.type() == ValueType::kString) {
-        auto [it, inserted] = string_dict.try_emplace(v.AsString(), next);
-        code = it->second;
-        if (inserted) ++next;
-      } else {
-        auto [it, inserted] = numeric_dict.try_emplace(v.ToNumeric(), next);
-        code = it->second;
-        if (inserted) ++next;
-      }
-      codes.push_back(code);
+  // Allocated on the caller's thread, filled on the pool (see ReadCsv):
+  // the codes outlive the pool tasks, so they stay out of the pool
+  // threads' malloc arenas.
+  for (auto& codes : out.codes_) codes.reserve(out.num_rows_);
+  ParallelForChunks(0, k, k, 0, [&](size_t, size_t lo, size_t hi) {
+    for (size_t c = lo; c < hi; ++c) {
+      out.cardinalities_[c] = EncodeColumn(table.column(c), &out.codes_[c],
+                                           &out.null_counts_[c]);
     }
-    out.cardinalities_[c] = static_cast<size_t>(next);
-  }
+  });
   return out;
 }
 

@@ -37,6 +37,10 @@ class Table {
   Table() = default;
   explicit Table(Schema schema)
       : schema_(std::move(schema)), columns_(schema_.size()) {}
+  /// Adopts filled columns, one per attribute. Precondition:
+  /// columns.size() == schema.size(), and every column has the same
+  /// length.
+  Table(Schema schema, std::vector<std::vector<Value>> columns);
 
   const Schema& schema() const { return schema_; }
   size_t num_rows() const { return columns_.empty() ? 0 : columns_[0].size(); }
@@ -73,11 +77,26 @@ class Table {
   std::vector<std::vector<Value>> columns_;
 };
 
+/// The dictionary key of a numeric cell: the bit pattern of its double
+/// value, with every NaN mapped to one key and -0.0 to 0.0. Numbers
+/// that compare equal share a key (3 == 3.0, -0.0 == 0.0), and so do
+/// all NaN cells — a NaN is one value of the column, like any other.
+/// EncodedTable::Encode and the chunk store's transform codes both key
+/// on it, so the in-memory and out-of-core paths agree cell for cell.
+uint64_t NumericKey(double value);
+
 /// A dictionary-encoded view of a table: every column becomes an array
 /// of int32 codes in [0, cardinality) with kNullCode for missing cells.
 /// All discovery algorithms run on this representation — equality of
 /// cells is equality of codes, which makes partition refinement (TANE),
 /// entropy estimation (RFI) and the FDX pair transform cache friendly.
+///
+/// Each column has two hashed dictionaries: strings key on their bytes,
+/// numbers on NumericKey (ints widen to double, so 3 == 3.0; every NaN
+/// is one value; -0.0 == 0.0). Columns are independent, so a table
+/// encodes in parallel over columns on the shared pool, at the process
+/// default thread count (`FDX_THREADS`, else every core) whatever thread
+/// count the caller runs at; the codes do not depend on it.
 ///
 /// Contract: the non-null codes of column c are *dense* in
 /// [0, Cardinality(c)) — every value in that range occurs (codes are

@@ -3,8 +3,6 @@
 #include <charconv>
 #include <cstdio>
 
-#include "util/string_util.h"
-
 namespace fdx {
 
 double Value::ToNumeric() const {
@@ -35,19 +33,16 @@ std::string Value::ToString() const {
   return "";
 }
 
-Value Value::Parse(const std::string& text) {
+Value Value::Parse(std::string_view text) {
   if (text.empty()) return Value::Null();
-  if (IsInteger(text)) {
-    int64_t v = 0;
-    std::from_chars(text.data(), text.data() + text.size(), v);
-    return Value(v);
-  }
-  if (IsDouble(text)) {
-    double v = 0.0;
-    std::from_chars(text.data(), text.data() + text.size(), v);
-    return Value(v);
-  }
-  return Value(text);
+  const char* const end = text.data() + text.size();
+  int64_t integer = 0;
+  const auto as_int = std::from_chars(text.data(), end, integer);
+  if (as_int.ec == std::errc() && as_int.ptr == end) return Value(integer);
+  double real = 0.0;
+  const auto as_double = std::from_chars(text.data(), end, real);
+  if (as_double.ec == std::errc() && as_double.ptr == end) return Value(real);
+  return Value(std::string(text));
 }
 
 bool Value::EqualsStrict(const Value& other) const {

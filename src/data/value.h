@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace fdx {
@@ -57,7 +58,8 @@ class Value {
   std::string ToString() const;
 
   /// Parses a CSV field: empty -> null, integer, double, else string.
-  static Value Parse(const std::string& text);
+  /// The one type-inference rule: every CSV reader types its cells here.
+  static Value Parse(std::string_view text);
 
   /// Strict equality: same type and same payload. Two nulls are NOT
   /// equal — a missing value matches nothing, so missing data weakens

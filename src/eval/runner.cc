@@ -128,7 +128,9 @@ std::vector<RunOutcome> RunMethodsParallel(
   RunnerConfig cell_config = config;
   if (threads > 1) {
     // Cells already saturate the workers; keep each cell single-threaded
-    // inside (identical results — FDX is thread-count invariant).
+    // inside (identical results — FDX is thread-count invariant). Ingest
+    // is the exception: a cell's EncodedTable::Encode has no thread
+    // argument and fans its columns out to the shared pool (DESIGN.md §7).
     cell_config.threads = 1;
     cell_config.fdx.threads = 1;
     cell_config.fdx.transform.threads = 1;

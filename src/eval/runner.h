@@ -48,7 +48,8 @@ struct RunnerConfig {
   /// Worker threads for RunMethodsParallel fan-out (and, through
   /// `fdx.threads`, for FDX's internal stages when running a single
   /// method). 0 picks the `FDX_THREADS` environment variable or the
-  /// hardware concurrency.
+  /// hardware concurrency. Every method's EncodedTable::Encode runs at
+  /// that default whatever this is; `FDX_THREADS=1` pins it too.
   size_t threads = 0;
 };
 

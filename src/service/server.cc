@@ -170,7 +170,12 @@ Result<DiscoverPlan> PlanDiscover(const JsonValue& request,
     if (!csv_path->is_string()) {
       return Status::InvalidArgument("\"csv_path\" must be a string");
     }
-    table_or = ReadCsv(csv_path->string_value());
+    // Parsed from a private copy, not through ReadCsv's map: a mapped
+    // file that shrinks while it is read raises SIGBUS, and fdxd does
+    // not own the files its clients name.
+    FDX_ASSIGN_OR_RETURN(std::string text,
+                         ReadFileToString(csv_path->string_value()));
+    table_or = ReadCsvFromString(text);
   } else {
     const JsonValue* schema_json = table_json->Find("schema");
     const JsonValue* rows_json = table_json->Find("rows");

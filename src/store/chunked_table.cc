@@ -264,8 +264,8 @@ int32_t ChunkedTable::EncodeCell(const Value& v, size_t col,
     }
   }
   // First appearance of this exact value: record it and assign (or
-  // share) the transform code — numerics merge on their double value,
-  // matching EncodedTable::Encode.
+  // share) the transform code — numerics merge on NumericKey, matching
+  // EncodedTable::Encode.
   dict.values.push_back(v);
   if (fresh != nullptr) fresh->push_back(v);
   int32_t transform;
@@ -276,7 +276,8 @@ int32_t ChunkedTable::EncodeCell(const Value& v, size_t col,
     if (inserted) ++dict.next_transform;
   } else {
     auto [it, inserted] =
-        dict.t_numeric.try_emplace(v.ToNumeric(), dict.next_transform);
+        dict.t_numeric.try_emplace(NumericKey(v.ToNumeric()),
+                                   dict.next_transform);
     transform = it->second;
     if (inserted) ++dict.next_transform;
   }

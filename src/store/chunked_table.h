@@ -2,7 +2,6 @@
 #define FDX_STORE_CHUNKED_TABLE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -32,10 +31,11 @@ class ChunkCodec;
 ///    ReadChunkValues (the service replays them through fingerprinted
 ///    appends, which must reproduce the original bytes).
 ///  * transform codes — the EncodedTable contract: numerics merge on
-///    their double value (3 == 3.0), first appearance in row order
-///    assigns the next dense code. ReadColumnCodes emits these, which
-///    is what makes the streaming transform bit-identical to
-///    EncodedTable::Encode of the concatenated table.
+///    NumericKey (3 == 3.0, -0.0 == 0.0, every NaN alike), first
+///    appearance in row order assigns the next dense code.
+///    ReadColumnCodes emits these, which is what makes the streaming
+///    transform bit-identical to EncodedTable::Encode of the
+///    concatenated table.
 ///
 /// Durable layout under `dir`:
 ///
@@ -163,9 +163,10 @@ class ChunkedTable {
     /// Doubles key on their bit pattern (distinguishes -0.0 from 0.0 for
     /// exact round-trip; the transform map below still merges them).
     std::unordered_map<uint64_t, int32_t> by_double_bits;
-    /// Transform-code assignment, mirroring EncodedTable::Encode.
+    /// Transform-code assignment, mirroring EncodedTable::Encode:
+    /// numbers key on NumericKey.
     std::unordered_map<std::string, int32_t> t_string;
-    std::map<double, int32_t> t_numeric;
+    std::unordered_map<uint64_t, int32_t> t_numeric;
     std::vector<int32_t> to_transform;  ///< storage code -> transform code
     int32_t next_transform = 0;
     size_t null_count = 0;

@@ -9,15 +9,15 @@
 
 namespace fdx {
 
-/// Read-only memory-mapped file. The chunk store's fast read path maps
-/// chunk files instead of copying them through read(2): column slices
-/// are consumed straight out of the page cache, and pages are released
-/// with `madvise(MADV_DONTNEED)` as soon as a slice has been decoded so
-/// a bounded-memory scan never accumulates mapped residency. Mapped
-/// pages are file-backed and clean (the mapping is PROT_READ), which
-/// means the kernel can reclaim them at any time — `ResidentBytes`
-/// reports how many are currently mapped so RSS-ceiling accounting can
-/// subtract them from the polled process figure.
+/// Read-only memory-mapped file. The chunk store's read path and the CSV
+/// readers map files instead of copying them through read(2): column
+/// slices and CSV ranges are consumed straight out of the page cache,
+/// and pages are released with `madvise(MADV_DONTNEED)` as soon as they
+/// have been decoded so a bounded-memory scan never accumulates mapped
+/// residency. Mapped pages are file-backed and clean (the mapping is
+/// PROT_READ), which means the kernel can reclaim them at any time —
+/// `ResidentBytes` reports how many are currently mapped so RSS-ceiling
+/// accounting can subtract them from the polled process figure.
 ///
 /// Movable, not copyable; the destructor unmaps.
 class MmapFile {
@@ -30,7 +30,7 @@ class MmapFile {
   MmapFile& operator=(const MmapFile&) = delete;
 
   /// Maps `path` read-only and advises MADV_SEQUENTIAL (chunk columns
-  /// are contiguous slices, read front to back). Empty files map to a
+  /// and CSV ranges are read front to back). Empty files map to a
   /// valid zero-length object (data() == nullptr, size() == 0).
   static Result<MmapFile> Open(const std::string& path);
 

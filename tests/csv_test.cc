@@ -1,13 +1,31 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <thread>
+#include <unordered_set>
 
 #include "data/csv.h"
+#include "scoped_threads.h"
+#include "util/rng.h"
+#include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace fdx {
 namespace {
+
+/// A temp path of this process's own. ReadCsv maps its input, and a
+/// file rewritten under another process's mapping faults that process —
+/// ctest runs each case as its own process, in parallel.
+std::string TempPath(const std::string& stem) {
+  return ::testing::TempDir() + stem + "_" + std::to_string(getpid());
+}
 
 TEST(CsvTest, ParsesHeaderAndTypes) {
   auto table = ParseCsv("a,b,c\n1,x,2.5\n2,y,3.5\n");
@@ -98,15 +116,13 @@ TEST(CsvTest, MissingFileFails) {
 }
 
 TEST(CsvTest, ReadCsvFromStringMatchesReadCsv) {
-  // ReadCsv is implemented as "slurp, then ReadCsvFromString"; pin the
-  // two paths to identical results so they can never diverge.
+  // ReadCsv parses a mapped file, ReadCsvFromString a caller's buffer,
+  // through the same parser; pin the two paths to identical results.
   const std::string text = "a,b,c\n1,x,2.5\n,NULL,\"q,z\"\n3,y,4.5\n";
   auto from_string = ReadCsvFromString(text);
   ASSERT_TRUE(from_string.ok());
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fdx_csv_string_test.csv")
-          .string();
+  const std::string path = TempPath("fdx_csv_string_test");
   {
     std::ofstream out(path, std::ios::binary);
     out << text;
@@ -152,8 +168,7 @@ TEST(CsvTest, WriteReadRoundTrip) {
   t.AppendRow({Value(std::string("alpha")), Value(int64_t{1}),
                Value(std::string("a,b"))});
   t.AppendRow({Value(std::string("beta")), Value(int64_t{2}), Value::Null()});
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fdx_csv_test.csv").string();
+  const std::string path = TempPath("fdx_csv_test");
   ASSERT_TRUE(WriteCsv(t, path).ok());
   auto back = ReadCsv(path);
   ASSERT_TRUE(back.ok());
@@ -285,9 +300,7 @@ TEST(CsvChunkedTest, FileAndStringChunkingAgree) {
   for (int r = 0; r < 20; ++r) {
     text += std::to_string(r) + "," + std::to_string(r % 3) + "\n";
   }
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "fdx_csv_chunk_test.csv")
-          .string();
+  const std::string path = TempPath("fdx_csv_chunk_test");
   {
     std::ofstream out(path, std::ios::binary);
     out << text;
@@ -305,6 +318,405 @@ TEST(CsvChunkedTest, FileAndStringChunkingAgree) {
   EXPECT_EQ(rows_string, 20u);
   EXPECT_EQ(rows_file, 20u);
   std::remove(path.c_str());
+}
+
+TEST(CsvTest, WriteCsvReportsFailedWrites) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  Table t{Schema({"a"})};
+  for (int64_t r = 0; r < 10000; ++r) t.AppendRow({Value(r)});
+  const Status written = WriteCsv(t, "/dev/full");
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), StatusCode::kIOError);
+  EXPECT_NE(written.message().find("/dev/full"), std::string::npos)
+      << written.ToString();
+}
+
+TEST(CsvTest, ReadingADirectoryFailsNamingIt) {
+  const std::string dir = TempPath("fdx_csv_dir_test");
+  std::filesystem::create_directories(dir);
+  auto table = ReadCsv(dir);
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kIOError);
+  EXPECT_NE(table.status().message().find(dir), std::string::npos)
+      << table.status().ToString();
+  std::filesystem::remove(dir);
+}
+
+TEST(CsvTest, ReadsAPipe) {
+  const std::string path = TempPath("fdx_csv_fifo_test");
+  std::remove(path.c_str());
+  if (mkfifo(path.c_str(), 0600) != 0) GTEST_SKIP() << "no mkfifo here";
+  std::thread writer([&] {
+    std::ofstream out(path, std::ios::binary);
+    out << "a,b\n1,x\n2,y\n";
+  });
+  auto table = ReadCsv(path);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_EQ(table->num_rows(), 2u);
+  EXPECT_EQ(table->cell(1, 1).AsString(), "y");
+}
+
+TEST(CsvTest, NewlineInsideQuotesEndsTheRecord) {
+  // A newline always ends a record, even inside quotes: the quoted
+  // field runs to the end of its line, which leaves the row short.
+  auto table = ParseCsv("a,b\n\"x\ny\",2\n");
+  ASSERT_FALSE(table.ok());
+  EXPECT_EQ(table.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(table.status().message(),
+            "line 2: CSV row with 1 fields; expected 2");
+}
+
+// --- differential test against the line-by-line stream parser -----------
+
+/// The stream parser the byte-range parser replaced: std::getline, one
+/// std::string per field, rows appended one at a time. It is the oracle
+/// for every entry point's tables and error messages.
+std::vector<std::string> OracleSplit(const std::string& line, char delim) {
+  std::vector<std::string> fields;
+  std::string field;
+  bool in_quotes = false;
+  for (size_t i = 0; i < line.size(); ++i) {
+    const char ch = line[i];
+    if (in_quotes) {
+      if (ch == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          field += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field += ch;
+      }
+    } else if (ch == '"') {
+      in_quotes = true;
+    } else if (ch == delim) {
+      fields.push_back(std::move(field));
+      field.clear();
+    } else {
+      field += ch;
+    }
+  }
+  fields.push_back(std::move(field));
+  return fields;
+}
+
+Result<Table> OracleParse(const std::string& text, const CsvOptions& options) {
+  std::istringstream in(text);
+  std::string line;
+  std::vector<std::string> header;
+  Table out;
+  bool have_schema = false;
+  bool any_rows = false;
+  size_t width = 0;
+  size_t line_number = 0;
+  bool first = true;
+  while (std::getline(in, line)) {
+    ++line_number;
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty() && !any_rows && header.empty()) continue;
+    std::vector<std::string> fields = OracleSplit(line, options.delimiter);
+    if (first) {
+      width = fields.size();
+      first = false;
+      if (options.has_header) {
+        std::unordered_set<std::string> seen;
+        for (size_t c = 0; c < fields.size(); ++c) {
+          if (fields[c].empty()) {
+            return Status::InvalidArgument(
+                "line " + std::to_string(line_number) +
+                ": empty header name in column " + std::to_string(c + 1));
+          }
+          if (!seen.insert(fields[c]).second) {
+            return Status::InvalidArgument(
+                "line " + std::to_string(line_number) +
+                ": duplicate header name '" + fields[c] + "'");
+          }
+        }
+        header = std::move(fields);
+        continue;
+      }
+      for (size_t i = 0; i < width; ++i) {
+        header.push_back("col" + std::to_string(i));
+      }
+    }
+    if (fields.size() != width) {
+      return Status::IOError("line " + std::to_string(line_number) +
+                             ": CSV row with " +
+                             std::to_string(fields.size()) +
+                             " fields; expected " + std::to_string(width));
+    }
+    if (!have_schema) {
+      out = Table{Schema(header)};
+      have_schema = true;
+    }
+    std::vector<Value> row;
+    row.reserve(width);
+    for (auto& field : fields) {
+      const std::string trimmed(StripAsciiWhitespace(field));
+      bool null = trimmed.empty();
+      for (const auto& token : options.null_tokens) null |= trimmed == token;
+      row.push_back(null ? Value::Null() : Value::Parse(trimmed));
+    }
+    out.AppendRow(std::move(row));
+    any_rows = true;
+  }
+  if (!have_schema) out = Table{Schema(std::move(header))};
+  return out;
+}
+
+/// Cell for cell and type for type; doubles compare by bit pattern, so
+/// NaN payloads and signed zeros count.
+void ExpectSameCells(const Table& want, const Table& got,
+                     const std::string& what) {
+  ASSERT_EQ(want.schema().names(), got.schema().names()) << what;
+  ASSERT_EQ(want.num_rows(), got.num_rows()) << what;
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    for (size_t r = 0; r < want.num_rows(); ++r) {
+      const Value& x = want.cell(r, c);
+      const Value& y = got.cell(r, c);
+      ASSERT_EQ(static_cast<int>(x.type()), static_cast<int>(y.type()))
+          << what << ": row " << r << " col " << c;
+      bool same = true;
+      switch (x.type()) {
+        case ValueType::kNull:
+          break;
+        case ValueType::kInt:
+          same = x.AsInt() == y.AsInt();
+          break;
+        case ValueType::kDouble: {
+          const double a = x.AsDouble();
+          const double b = y.AsDouble();
+          same = std::memcmp(&a, &b, sizeof(a)) == 0;
+          break;
+        }
+        case ValueType::kString:
+          same = x.AsString() == y.AsString();
+          break;
+      }
+      ASSERT_TRUE(same) << what << ": row " << r << " col " << c << " '"
+                        << x.ToString() << "' vs '" << y.ToString() << "'";
+    }
+  }
+}
+
+constexpr size_t kCorpusColumns = 7;
+
+/// One random cell of column `c`: typed, boundary and malformed numbers,
+/// quoted fields with delimiters and "" escapes, null tokens (bare,
+/// padded and quoted) and surrounding whitespace.
+std::string CorpusCell(size_t c, Rng* rng) {
+  static const char* const kNumbers[] = {
+      "9007199254740993", "9007199254740992", "-0", "007", "1e400",
+      "-1e400", "nan", "-nan", "inf", "-inf", "-0.0", "0.0", "1e-320",
+      "99999999999999999999", "+5", ".5", "5.", "0x10", "1e5", "3.0"};
+  static const char* const kNulls[] = {"", "NULL", "null", "NA", "?",
+                                       " NA ", "\"NULL\"", "\t?"};
+  static const char* const kQuoted[] = {
+      "\"a,b\"", "\"say \"\"hi\"\"\"", "x\"y\"z", "\"\"", "\" padded \"",
+      "\"12\"", "\"1,5\"", "ab\"\"c", "\"q\"\",r\""};
+  switch (c) {
+    case 0:
+      return std::to_string(rng->NextInt(-50, 50));
+    case 1:
+      return kNumbers[rng->NextUint64(std::size(kNumbers))];
+    case 2:
+      return rng->NextBernoulli(0.5)
+                 ? kQuoted[rng->NextUint64(std::size(kQuoted))]
+                 : "w" + std::to_string(rng->NextUint64(40));
+    case 3:
+      return rng->NextBernoulli(0.6)
+                 ? kNulls[rng->NextUint64(std::size(kNulls))]
+                 : std::to_string(rng->NextUint64(9));
+    case 4: {
+      const char* const pad[] = {"", " ", "\t", "  "};
+      return pad[rng->NextUint64(4)] + std::to_string(rng->NextDouble()) +
+             pad[rng->NextUint64(4)];
+    }
+    case 5:
+      return rng->NextBernoulli(0.1) ? ""
+                                     : "k" + std::to_string(rng->NextUint64(7));
+    default:
+      // An unterminated quote runs to the end of the record: last column
+      // only, or it would swallow the delimiters after it.
+      if (rng->NextBernoulli(0.05)) return "\"unterminated, still one";
+      return std::string(40 + rng->NextUint64(40), 'a' + rng->NextUint64(26));
+  }
+}
+
+/// A few MiB of CSV: leading blank lines (one of them CRLF), a header,
+/// mixed LF/CRLF line ends and no newline after the last row.
+std::string MakeCorpus(bool header, size_t bytes, uint64_t seed) {
+  Rng rng(seed);
+  std::string text = "\n\r\n\n";
+  if (header) text += "a,b,c,d,e,f,g\r\n";
+  while (text.size() < bytes) {
+    for (size_t c = 0; c < kCorpusColumns; ++c) {
+      if (c > 0) text += ',';
+      text += CorpusCell(c, &rng);
+    }
+    text += rng.NextBernoulli(0.3) ? "\r\n" : "\n";
+  }
+  while (text.back() == '\n' || text.back() == '\r') text.pop_back();
+  return text;
+}
+
+/// A one-column CSV whose body holds blank and whitespace-only lines:
+/// there every line is a record, a blank one a null.
+std::string MakeOneColumnCorpus(size_t bytes, uint64_t seed) {
+  Rng rng(seed);
+  std::string text = "\r\n\nv\n";
+  const std::string lines[] = {"",     "\r",    "  ",    " 7 ",
+                               "\"q,\"\"uoted\"\"\"", " NA ", "-0.0", "1e400",
+                               std::string(200, 'v')};
+  while (text.size() < bytes) {
+    text += lines[rng.NextUint64(std::size(lines))];
+    text += '\n';
+  }
+  return text;
+}
+
+
+/// Every entry point over `text` at `threads`, checked against the
+/// oracle: the same table, or the same status, code and message.
+void CheckAgainstOracle(const std::string& text, const CsvOptions& options,
+                        const std::string& what) {
+  const Result<Table> want = OracleParse(text, options);
+  const std::string path = TempPath(
+      std::string("fdx_csv_") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  const auto expect_same = [&](const Result<Table>& got,
+                               const std::string& how) {
+    if (!want.ok()) {
+      ASSERT_FALSE(got.ok()) << how;
+      EXPECT_EQ(got.status().code(), want.status().code()) << how;
+      EXPECT_EQ(got.status().message(), want.status().message()) << how;
+      return;
+    }
+    ASSERT_TRUE(got.ok()) << how << ": " << got.status().ToString();
+    ExpectSameCells(want.value(), got.value(), how);
+  };
+  for (size_t threads : {1, 2, 4, 8}) {
+    ScopedThreads scoped(threads);
+    const std::string at =
+        what + " at " + std::to_string(threads) + " threads";
+    expect_same(ReadCsv(path, options), "ReadCsv " + at);
+    expect_same(ReadCsvFromString(text, options), "ReadCsvFromString " + at);
+    for (size_t chunk_rows : {size_t{1}, size_t{7}, size_t{65536}}) {
+      Table whole;
+      std::vector<size_t> sizes;
+      const Status read = ReadCsvChunked(
+          path, options, chunk_rows, [&](Table&& chunk) {
+            if (sizes.empty()) whole = Table{chunk.schema()};
+            sizes.push_back(chunk.num_rows());
+            std::vector<Value> row(chunk.num_columns());
+            for (size_t r = 0; r < chunk.num_rows(); ++r) {
+              for (size_t c = 0; c < chunk.num_columns(); ++c) {
+                row[c] = chunk.cell(r, c);
+              }
+              whole.AppendRow(row);
+            }
+            return Status::OK();
+          });
+      const std::string how =
+          "ReadCsvChunked/" + std::to_string(chunk_rows) + " " + at;
+      if (!read.ok()) {
+        expect_same(read, how);
+        continue;
+      }
+      expect_same(whole, how);
+      if (!want.ok()) continue;
+      // Full windows, then the remainder; a row-less file one empty chunk.
+      const size_t rows = want.value().num_rows();
+      std::vector<size_t> expected(rows / chunk_rows, chunk_rows);
+      if (rows % chunk_rows != 0 || rows == 0) {
+        expected.push_back(rows % chunk_rows);
+      }
+      EXPECT_EQ(sizes, expected) << how;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// Offset of the first line of the second body range: the parser cuts
+/// after the first newline at or beyond 1 MiB - 1 into the body, when
+/// the body is under 4 MiB (below that every thread count gets ranges
+/// of exactly the 1 MiB floor).
+size_t SecondRangeStart(const std::string& text, size_t body_begin) {
+  return text.find('\n', body_begin + (size_t{1} << 20) - 1) + 1;
+}
+
+class CsvDifferentialTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    // Size the shared pool for the widest thread count checked below.
+    ScopedThreads scoped(8);
+    (void)ThreadPool::Shared();
+  }
+};
+
+TEST_F(CsvDifferentialTest, HeaderedCorpusMatchesTheOracle) {
+  const std::string text = MakeCorpus(/*header=*/true, 5 << 18, 1);
+  ASSERT_LT(text.size(), size_t{4} << 20);
+  auto oracle = OracleParse(text, {});
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  ASSERT_GT(oracle->num_rows(), 10000u);
+  CheckAgainstOracle(text, {}, "headered");
+}
+
+TEST_F(CsvDifferentialTest, HeaderlessCorpusMatchesTheOracle) {
+  CsvOptions options;
+  options.has_header = false;
+  const std::string text = MakeCorpus(/*header=*/false, 5 << 18, 2);
+  auto oracle = OracleParse(text, options);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(oracle->schema().name(6), "col6");
+  CheckAgainstOracle(text, options, "headerless");
+}
+
+TEST_F(CsvDifferentialTest, BlankBodyLinesAreNullRows) {
+  const std::string text = MakeOneColumnCorpus(5 << 18, 3);
+  auto oracle = OracleParse(text, {});
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  size_t nulls = 0;
+  for (const Value& v : oracle->column(0)) nulls += v.is_null();
+  EXPECT_GT(nulls, oracle->num_rows() / 4);
+  CheckAgainstOracle(text, {}, "one column");
+}
+
+TEST_F(CsvDifferentialTest, RaggedRowsReportTheOraclesMessage) {
+  const std::string text = MakeCorpus(/*header=*/true, 5 << 18, 4);
+  const size_t body = text.find("a,b,c,d,e,f,g\r\n") + 15;
+  const size_t second = SecondRangeStart(text, body);
+  const size_t last = text.rfind('\n') + 1;
+  const size_t early = text.find('\n', body + 1000) + 1;
+  const auto ragged_at = [&](size_t pos, const std::string& row) {
+    return text.substr(0, pos) + row + text.substr(pos);
+  };
+  // The first line of the second range, the first body line, the last
+  // range (a long row before a long last line with no newline), and
+  // ragged rows in the first and the last range at once. The earliest
+  // one is reported.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"first line of a range", ragged_at(second, "1,2\n")},
+      {"first body line", ragged_at(body, "\n")},
+      {"last range", ragged_at(last, "1,2,3,4,5,6,7,8\r\n") + ",extra"},
+      {"two ranges", ragged_at(early, "\n") + ",extra"},
+  };
+  ASSERT_EQ(SecondRangeStart(cases[0].second, body), second);
+  for (const auto& [what, input] : cases) {
+    auto oracle = OracleParse(input, {});
+    ASSERT_FALSE(oracle.ok()) << what;
+    CheckAgainstOracle(input, {}, what);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <thread>
@@ -14,6 +17,7 @@
 #include "util/json_parser.h"
 #include "service/server.h"
 #include "util/fault_injection.h"
+#include "util/file_io.h"
 #include "util/json_writer.h"
 #include "util/socket.h"
 #include "util/stopwatch.h"
@@ -195,6 +199,49 @@ TEST_F(ServiceIntegrationTest, CsvAndInlineTableShareTheCache) {
   EXPECT_EQ(*via_csv, *via_table);
   EXPECT_EQ(server.cache().hits(), 1u);
   EXPECT_TRUE(WaitFor([&] { return server.queue().executed() == 1u; }));
+}
+
+TEST_F(ServiceIntegrationTest, CsvPathDiscoversTheNamedFile) {
+  FdxServer& server = StartServer(ServerOptions{});
+
+  // The daemon reads the file a client names into memory and parses
+  // that copy, so the result is the one the same relation gets inline.
+  std::string csv = "a,b,c\n";
+  for (int i = 0; i < 24; ++i) {
+    const int a = i % 5;
+    csv += std::to_string(a) + "," + std::to_string(2 * a) + "," +
+           std::to_string(i % 3) + "\n";
+  }
+  const std::string path = ::testing::TempDir() + "fdx_service_csv_path_" +
+                           std::to_string(getpid()) + ".csv";
+  ASSERT_TRUE(WriteFileAtomic(path, csv).ok());
+  const auto discover_path = [&](const std::string& csv_path) {
+    JsonWriter writer;
+    writer.BeginObject();
+    writer.Key("op");
+    writer.String("discover");
+    writer.Key("csv_path");
+    writer.String(csv_path);
+    writer.EndObject();
+    return Request(server.port(), writer.TakeString());
+  };
+  auto via_path = discover_path(path);
+  ASSERT_TRUE(via_path.ok());
+  ASSERT_TRUE(IsOk(*via_path)) << *via_path;
+  auto via_table = Request(server.port(), DiscoverTableRequest(24, 5));
+  ASSERT_TRUE(via_table.ok());
+  EXPECT_EQ(*via_path, *via_table);
+  EXPECT_EQ(server.cache().hits(), 1u);
+
+  // A file that is gone by the time the request runs is an error
+  // response; the daemon keeps serving.
+  std::remove(path.c_str());
+  auto missing = discover_path(path);
+  ASSERT_TRUE(missing.ok());
+  EXPECT_FALSE(IsOk(*missing)) << *missing;
+  auto after = Request(server.port(), DiscoverTableRequest(24, 5));
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *via_table);
 }
 
 TEST_F(ServiceIntegrationTest, CachedResponseMatchesColdServerByteForByte) {

@@ -200,6 +200,38 @@ TEST(ChunkedTableTest, NumericMergeSharesTransformCodeNotStorageCode) {
   EXPECT_EQ(codes, (std::vector<int32_t>{0, 0, 1}));
 }
 
+TEST(ChunkedTableTest, NanAndSignedZeroCodesMatchEncode) {
+  // Every NaN is one value and -0.0 is 0.0, in memory and in the store
+  // alike: the column below has six distinct transform values.
+  auto parsed = ParseCsv(
+      "x\n5\nnan\n1\nnan\n-nan\ninf\n-0.0\n0\n3\n3.0\nnan\n-inf\n");
+  ASSERT_TRUE(parsed.ok());
+  const Table& table = parsed.value();
+  ASSERT_EQ(table.cell(4, 0).type(), ValueType::kDouble);
+  const std::vector<int32_t> expected = {0, 1, 2, 1, 1, 3, 4, 4, 5, 5, 1, 6};
+  EXPECT_EQ(EncodedTable::Encode(table).column_codes(0), expected);
+
+  const std::string dir = FreshDir("nan");
+  for (const std::string& where : {std::string(), dir}) {
+    for (size_t chunk_rows : {size_t{1}, size_t{3}, size_t{12}}) {
+      (void)RemoveDirectoryRecursive(dir);
+      auto store = ChunkedTable::Create(table.schema(), where);
+      ASSERT_TRUE(store.ok());
+      AppendInChunks(table, chunk_rows, &store.value());
+      ExpectCodesMatchEncode(table, store.value());
+      std::vector<int32_t> codes;
+      ASSERT_TRUE(store.value().ReadColumnCodes(0, &codes).ok());
+      EXPECT_EQ(codes, expected) << "chunk rows " << chunk_rows;
+    }
+  }
+  // Reopening rebuilds the dictionaries from the spilled values, whose
+  // NaN payloads round-trip through text.
+  auto reopened = ChunkedTable::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().message();
+  ExpectCodesMatchEncode(table, reopened.value());
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
 TEST(ChunkedTableTest, SpillReopenPreservesEverything) {
   const std::string dir = FreshDir("reopen");
   const Table table = MixedTable(120);
