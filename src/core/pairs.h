@@ -60,14 +60,22 @@ class AttributePass {
   /// table row indices.
   template <typename Fn>
   void ForEachPair(Fn&& fn) const {
+    ForEachPair(0, num_pairs_, fn);
+  }
+
+  /// ForEachPair restricted to the pairs with index in [lo, hi), where
+  /// hi <= num_pairs() — one pack block's share of the pass.
+  template <typename Fn>
+  void ForEachPair(size_t lo, size_t hi, Fn&& fn) const {
     const size_t n = order_.size();
     if (!sampled_) {
       // Hot loop without the modulo: only the final pair wraps.
-      for (size_t j = 0; j + 1 < n; ++j) fn(j, order_[j], order_[j + 1]);
-      if (n >= 2) fn(n - 1, order_[n - 1], order_[0]);
+      const size_t straight = hi == n && n > 0 ? n - 1 : hi;
+      for (size_t j = lo; j < straight; ++j) fn(j, order_[j], order_[j + 1]);
+      if (hi == n && n >= 2) fn(n - 1, order_[n - 1], order_[0]);
       return;
     }
-    for (size_t i = 0; i < num_pairs_; ++i) {
+    for (size_t i = lo; i < hi; ++i) {
       const size_t j = positions_[i];
       const size_t next = j + 1 == n ? 0 : j + 1;
       fn(i, order_[j], order_[next]);

@@ -84,7 +84,7 @@ Status AccumulatePasses(const std::vector<std::vector<int32_t>>& columns,
         BitMatrix bits;
         StageTimes local;
         Stopwatch watch;
-        PackScratch scratch;
+        std::vector<int32_t> gathered;
         std::vector<uint64_t> pass_counts(k, 0);
         std::vector<uint64_t> pass_co_counts(k * k, 0);
         for (size_t attr = lo; attr < hi; ++attr) {
@@ -96,9 +96,11 @@ Status AccumulatePasses(const std::vector<std::vector<int32_t>>& columns,
           watch.Reset();
           bits.Reset(pass.num_pairs(), k);
           for (size_t col = 0; col < k; ++col) {
-            ColumnBitWriter writer(bits.column_words(col));
-            AppendPassColumnBits(columns[col], pass, &writer, &scratch);
-            writer.Flush();
+            for (size_t lo = 0; lo < pass.num_pairs(); lo += kPackBlockPairs) {
+              PackPassBlock(columns[col].data(), pass, lo,
+                            std::min(pass.num_pairs(), lo + kPackBlockPairs),
+                            bits.column_words(col) + lo / 64, &gathered);
+            }
           }
           local.pack += watch.ElapsedSeconds();
           watch.Reset();

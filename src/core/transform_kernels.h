@@ -61,107 +61,64 @@ inline void PrepareTransformStreams(uint64_t seed, size_t n, size_t k,
   *attr_seeds = ForkAttributeSeeds(&rng, k);
 }
 
-/// Sequential bit appender over a column's word array. Bits arrive in
-/// index order; whole words are stored once, the trailing partial word
-/// on Flush. The destination words must start zeroed (BitMatrix::Reset)
-/// or be fully overwritten (the writer covers every word it touches).
-class ColumnBitWriter {
- public:
-  explicit ColumnBitWriter(uint64_t* words) : words_(words) {}
+/// Pairs per pack block. Both pass loops pack a pass block by block, so
+/// one packing thread's gather scratch is kPackBlockPairs + 1 codes
+/// (64 KiB), and the out-of-core waves fan (pass x block) tasks out over
+/// the pool. A multiple of 64, so every block but a pass's last fills
+/// whole words.
+inline constexpr size_t kPackBlockPairs = size_t{1} << 14;
 
-  inline void Append(uint64_t bit) {
-    word_ |= bit << shift_;
-    if (++shift_ == 64) {
-      *words_++ = word_;
-      word_ = 0;
-      shift_ = 0;
-    }
-  }
-
-  /// Appends the low `nbits` bits of `bits` (1..64, LSB first) in one
-  /// shot — the bulk entry used by the SIMD pack path, equivalent to
-  /// nbits Append calls. Bits above `nbits` must be zero.
-  inline void AppendWord(uint64_t bits, unsigned nbits) {
-    word_ |= bits << shift_;
-    const unsigned avail = 64 - shift_;
-    if (nbits >= avail) {
-      *words_++ = word_;
-      // avail == 64 implies shift_ == 0 and the whole input was stored
-      // above; the shift below would be UB, so special-case it.
-      word_ = avail == 64 ? 0 : bits >> avail;
-      shift_ = nbits - avail;
-    } else {
-      shift_ += nbits;
-    }
-  }
-
-  void Flush() {
-    if (shift_ != 0) *words_ = word_;
-  }
-
- private:
-  uint64_t* words_;
-  uint64_t word_ = 0;
-  unsigned shift_ = 0;
-};
-
-/// Reusable buffers for the vectorized pack path: the gathered code
-/// stream and the word-aligned bit buffer the SIMD compare fills before
-/// the writer splices it in at the current bit offset. One instance per
-/// packing thread, reused across (column, pass) iterations.
-struct PackScratch {
-  std::vector<int32_t> gathered;
-  std::vector<uint64_t> words;
-};
-
-/// Appends one pass's equality bits for the column with dictionary codes
-/// `codes` to `writer`. The full (uncapped) variant gathers the column's
-/// codes into sorted order and packs the adjacent-equality bits through
-/// the runtime-dispatched SIMD kernels (scalar fallback included); both
-/// produce the exact integer bit stream, so the output is bit-identical
-/// at every dispatch level. The sampled variant stays scalar: its pair
-/// positions are a sparse subset, not an adjacent sweep. `scratch` may
-/// be null (e.g. one-off callers), which forces the carried-load scalar
-/// loop.
-inline void AppendPassColumnBits(const std::vector<int32_t>& codes,
-                                 const AttributePass& pass,
-                                 ColumnBitWriter* writer,
-                                 PackScratch* scratch = nullptr) {
+/// Packs the equality bits of pairs [lo, hi) of `pass` for the column
+/// whose dictionary codes are `codes` into `words`, the column's word
+/// array advanced to word lo / 64 (`lo` must be a multiple of 64). Every
+/// word of the range is written in full, the last one zero-padded, so the
+/// destination needs no clearing and disjoint blocks can pack
+/// concurrently. The pass's wrap pair (order[n-1], order[0]) belongs to
+/// its last block.
+///
+/// Unsampled passes gather the block's codes in sorted order, plus the
+/// successor of its last pair, into `gathered` (caller-owned scratch,
+/// reused across calls) and pack them through the runtime-dispatched
+/// SIMD kernels, scalar fallback included. Sampled passes walk their
+/// sorted positions scalar: those pairs are a sparse subset, not an
+/// adjacent sweep. Either way the bits are the exact integers, so the
+/// output is bit-identical at every dispatch level and block tiling.
+inline void PackPassBlock(const int32_t* codes, const AttributePass& pass,
+                          size_t lo, size_t hi, uint64_t* words,
+                          std::vector<int32_t>* gathered) {
   if (!pass.sampled()) {
     const std::vector<uint32_t>& order = pass.order();
-    const size_t n = order.size();
-    if (n < 2) return;
-    if (scratch != nullptr && n >= 128) {
-      const SimdOps& ops = ActiveSimdOps();
-      scratch->gathered.resize(n);
-      int32_t* g = scratch->gathered.data();
-      ops.gather_codes(codes.data(), order.data(), n, g);
-      scratch->words.resize((n - 1) / 64 + 1);
-      const size_t packed = ops.pack_adjacent_equal(
-          g, n, EncodedTable::kNullCode, scratch->words.data());
-      for (size_t w = 0; w < packed / 64; ++w) {
-        writer->AppendWord(scratch->words[w], 64);
-      }
-      for (size_t j = packed; j + 1 < n; ++j) {
-        writer->Append(EqualCodes(g[j], g[j + 1]));
-      }
-      // The wrap pair (order[n-1], order[0]).
-      writer->Append(EqualCodes(g[n - 1], g[0]));
-      return;
+    const size_t m = hi - lo + 1;  // the block's codes and one successor
+    gathered->resize(m);
+    int32_t* g = gathered->data();
+    const SimdOps& ops = ActiveSimdOps();
+    if (hi < order.size()) {
+      ops.gather_codes(codes, order.data() + lo, m, g);
+    } else {
+      ops.gather_codes(codes, order.data() + lo, m - 1, g);
+      g[m - 1] = codes[order[0]];  // the wrap pair's successor
     }
-    int32_t prev = codes[order[0]];
-    for (size_t j = 0; j + 1 < n; ++j) {
-      const int32_t cur = codes[order[j + 1]];
-      writer->Append(EqualCodes(prev, cur));
-      prev = cur;
+    const size_t packed =
+        ops.pack_adjacent_equal(g, m, EncodedTable::kNullCode, words);
+    if (packed + 1 < m) {
+      uint64_t tail = 0;
+      for (size_t j = packed; j + 1 < m; ++j) {
+        tail |= EqualCodes(g[j], g[j + 1]) << (j - packed);
+      }
+      words[packed / 64] = tail;
     }
-    // The wrap pair (order[n-1], order[0]); prev holds codes[order[n-1]].
-    writer->Append(EqualCodes(prev, codes[order[0]]));
     return;
   }
-  pass.ForEachPair([&](size_t, size_t a, size_t b) {
-    writer->Append(EqualCodes(codes[a], codes[b]));
+  uint64_t word = 0;
+  pass.ForEachPair(lo, hi, [&](size_t i, size_t a, size_t b) {
+    const size_t bit = i - lo;
+    word |= EqualCodes(codes[a], codes[b]) << (bit & 63);
+    if ((bit & 63) == 63) {
+      words[bit / 64] = word;
+      word = 0;
+    }
   });
+  if ((hi - lo) % 64 != 0) words[(hi - lo) / 64] = word;
 }
 
 /// Pass-local covariance from one pass's integer moments. Used by the

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <string_view>
@@ -357,10 +358,18 @@ Status WriteCsv(const Table& table, const std::string& path,
     out << quote(table.schema().name(c));
   }
   out << '\n';
+  // Doubles go out in shortest round-trip form, not Value::ToString's
+  // 6-digit display form, so a written CSV reads back bit-exact.
+  const auto text = [](const Value& cell) -> std::string {
+    if (cell.type() != ValueType::kDouble) return cell.ToString();
+    char buf[32];
+    const auto written = std::to_chars(buf, buf + sizeof(buf), cell.AsDouble());
+    return std::string(buf, written.ptr);
+  };
   for (size_t r = 0; r < table.num_rows(); ++r) {
     for (size_t c = 0; c < table.num_columns(); ++c) {
       if (c > 0) out << options.delimiter;
-      out << quote(table.cell(r, c).ToString());
+      out << quote(text(table.cell(r, c)));
     }
     out << '\n';
   }

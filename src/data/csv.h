@@ -79,7 +79,11 @@ Status ReadCsvChunkedFromString(const std::string& text,
 Result<Table> ParseCsv(const std::string& text, const CsvOptions& options = {});
 
 /// Writes a table as CSV with a header row. A failed open, write or
-/// close is kIOError naming `path`.
+/// close is kIOError naming `path`. Doubles are written in shortest
+/// round-trip form (std::to_chars), so a double cell reads back
+/// bit-exact. The one exception, as before: an integral double that
+/// prints in integer form ("3", "1234567") reads back as the int of the
+/// same value.
 Status WriteCsv(const Table& table, const std::string& path,
                 const CsvOptions& options = {});
 

@@ -3,10 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "store/chunk_codec.h"
@@ -17,6 +20,7 @@
 #include "util/json_writer.h"
 #include "util/mmap_file.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace fdx {
 namespace {
@@ -27,6 +31,8 @@ constexpr char kChunkMagic[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '1'};
 constexpr char kChunkMagicV2[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '2'};
 constexpr size_t kChunkHeaderBytes = 8 + 3 * 8;  // magic + rows/cols/dict_bytes
 constexpr int kManifestVersion = 1;
+/// Bytes of a raw chunk hashed between page drops on first touch.
+constexpr uint64_t kVerifyWindowBytes = uint64_t{1} << 20;
 
 void AppendU64(std::string* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
@@ -59,14 +65,10 @@ std::string ChunkFileName(size_t index) {
   return buf;
 }
 
-std::string FingerprintHexOf(const char* data, size_t size) {
-  Fingerprint fp;
-  fp.Update(data, size);
-  return fp.Hex();
-}
-
 std::string FingerprintHexOf(const std::string& contents) {
-  return FingerprintHexOf(contents.data(), contents.size());
+  Fingerprint fp;
+  fp.Update(contents.data(), contents.size());
+  return fp.Hex();
 }
 
 /// Type-tagged cell: null | ["i",text] | ["d",text] | ["s",text].
@@ -147,9 +149,10 @@ Status DecodeCompressedColumn(const ChunkCodec& codec, const char* data,
 
 }  // namespace
 
-/// Cached per-chunk read state. Established once under the table's I/O
-/// mutex; immutable afterwards, so concurrent column reads share it
-/// without further locking (mapped reads and pread are both safe).
+/// Cached per-chunk read state. Established once under its chunk's
+/// ChunkIoOnce mutex; immutable afterwards, so concurrent column reads
+/// share it without further locking (mapped reads and pread are both
+/// safe).
 struct ChunkedTable::ChunkIo {
   MmapFile map;        ///< valid when use_mmap
   int fd = -1;         ///< pread fallback, kept open across column reads
@@ -206,6 +209,14 @@ struct ChunkedTable::ChunkIo {
   void DropRange(uint64_t offset, size_t len) const {
     if (use_mmap) map.AdviseDontNeed(offset, len);
   }
+};
+
+struct ChunkedTable::ChunkIoOnce {
+  std::mutex mu;
+  /// The verified state, published last; null until then.
+  std::atomic<ChunkIo*> ready{nullptr};
+  std::unique_ptr<ChunkIo> io;  ///< owner of `ready`; set under mu
+  uint64_t fallbacks = 0;       ///< failed map attempts; guarded by mu
 };
 
 ChunkedTable::ChunkedTable() = default;
@@ -417,6 +428,7 @@ Status ChunkedTable::AppendBatch(const Table& batch, std::string label) {
       FDX_RETURN_IF_ERROR(WriteFileAtomic(dir_ + "/" + chunk.file, payload));
     }
     chunk.codes.clear();  // durable now; drop the resident copy
+    chunk.io = std::make_unique<ChunkIoOnce>();
   }
   total_rows_ += chunk.rows;
   chunks_.push_back(std::move(chunk));
@@ -431,8 +443,14 @@ Status ChunkedTable::AppendBatch(const Table& batch, std::string label) {
 
 Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
   const StoredChunk& chunk = chunks_[index];
-  std::lock_guard<std::mutex> lock(*io_mu_);
-  if (chunk.io != nullptr) return chunk.io.get();
+  ChunkIoOnce& once = *chunk.io;
+  if (ChunkIo* ready = once.ready.load(std::memory_order_acquire)) {
+    return ready;
+  }
+  // Only this chunk's first readers wait here; a failed first touch
+  // publishes nothing, so the next read retries it.
+  std::lock_guard<std::mutex> lock(once.mu);
+  if (once.io != nullptr) return once.io.get();
 
   const std::string path = dir_ + "/" + chunk.file;
   auto io = std::make_unique<ChunkIo>();
@@ -445,7 +463,7 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
     }
   }
   if (!io->use_mmap) {
-    ++mmap_fallbacks_;  // the fault point counts like a real map failure
+    ++once.fallbacks;  // the fault point counts like a real map failure
     io->fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (io->fd < 0) {
       return Status::IOError("store: cannot open chunk '" + path +
@@ -515,27 +533,40 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
   }
 
   // First-touch verification: fingerprint the uncompressed serialization
-  // before trusting any chunk bytes — mapped or read — then drop the
-  // pages the check touched.
-  std::string payload;
+  // before trusting any chunk bytes — mapped or read. A raw chunk is
+  // hashed one window at a time, each mapped window's pages dropped (or
+  // the read buffer reused) before the next, so first touches running
+  // in parallel hold a window each rather than a chunk each.
+  Fingerprint fingerprint;
   if (io->compressed) {
+    std::string payload;
     FDX_RETURN_IF_ERROR(ReconstructRawPayload(index, *io, &payload));
-  } else if (!io->use_mmap) {
-    payload.resize(io->file_size);
-    FDX_RETURN_IF_ERROR(io->ReadAt(0, io->file_size, payload.data(), path));
+    fingerprint.Update(payload.data(), payload.size());
+  } else {
+    fingerprint.BeginUpdate(io->file_size);
+    std::string window;
+    for (uint64_t at = 0; at < io->file_size; at += kVerifyWindowBytes) {
+      const size_t len = static_cast<size_t>(
+          std::min<uint64_t>(kVerifyWindowBytes, io->file_size - at));
+      if (io->use_mmap) {
+        fingerprint.UpdatePart(io->map.data() + at, len);
+        io->DropRange(at, len);
+        continue;
+      }
+      window.resize(len);
+      FDX_RETURN_IF_ERROR(io->ReadAt(at, len, window.data(), path));
+      fingerprint.UpdatePart(window.data(), len);
+    }
   }
-  const std::string actual = io->use_mmap && !io->compressed
-                                 ? FingerprintHexOf(io->map.data(),
-                                                    io->map.size())
-                                 : FingerprintHexOf(payload);
-  if (actual != chunk.fingerprint_hex) {
+  if (fingerprint.Hex() != chunk.fingerprint_hex) {
     return Status::IOError("store: chunk '" + path +
                            "' fingerprint mismatch (corrupt store)");
   }
   io->DropRange(0, io->file_size);
 
-  chunk.io = std::move(io);
-  return chunk.io.get();
+  once.io = std::move(io);
+  once.ready.store(once.io.get(), std::memory_order_release);
+  return once.io.get();
 }
 
 /// Rebuilds the uncompressed (FDXCHNK1) serialization of a compressed
@@ -605,68 +636,87 @@ Status ChunkedTable::LoadChunkPayload(size_t index,
   return Status::OK();
 }
 
-Status ChunkedTable::ReadSpilledColumn(size_t index, size_t col,
-                                       std::vector<int32_t>* codes) const {
+/// One chunk's share of ReadColumnCodes: its `rows` transform codes into
+/// `out`. A spilled chunk's column is one contiguous slice of its file,
+/// decoded as storage codes into `out`, range-checked against the
+/// dictionary and mapped there in place.
+Status ChunkedTable::DecodeChunkColumn(size_t index, size_t col,
+                                       int32_t* out) const {
   const StoredChunk& chunk = chunks_[index];
+  const std::vector<int32_t>& to_transform = dicts_[col].to_transform;
+  const auto transform = [&](int32_t storage) {
+    return storage < 0 ? EncodedTable::kNullCode : to_transform[storage];
+  };
+  if (!chunk.codes.empty()) {
+    const std::vector<int32_t>& storage = chunk.codes[col];
+    for (size_t r = 0; r < chunk.rows; ++r) out[r] = transform(storage[r]);
+    return Status::OK();
+  }
   FDX_ASSIGN_OR_RETURN(ChunkIo * io, GetChunkIo(index));
-  codes->resize(chunk.rows);
+  const std::string path = dir_ + "/" + chunk.file;
   if (io->compressed) {
     std::string column(io->col_sizes[col], '\0');
     FDX_RETURN_IF_ERROR(io->ReadAt(io->col_offsets[col], io->col_sizes[col],
-                                   column.data(), dir_ + "/" + chunk.file));
-    FDX_RETURN_IF_ERROR(DecodeCompressedColumn(*codec_, column.data(),
-                                               column.size(), chunk.rows,
-                                               codes->data(), chunk.file));
-  } else if (io->use_mmap) {
-    const char* slice = io->map.data() + io->col_offsets[col];
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      (*codes)[r] = ReadI32(slice + r * 4);
-    }
+                                   column.data(), path));
+    FDX_RETURN_IF_ERROR(DecodeCompressedColumn(
+        *codec_, column.data(), column.size(), chunk.rows, out, chunk.file));
   } else {
-    std::string slice(io->col_sizes[col], '\0');
-    FDX_RETURN_IF_ERROR(io->ReadAt(io->col_offsets[col], io->col_sizes[col],
-                                   slice.data(), dir_ + "/" + chunk.file));
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      (*codes)[r] = ReadI32(slice.data() + r * 4);
+    // Little-endian i32s: mapped slices decode straight out of the page
+    // cache; the fallback preads the slice into `out` and decodes it in
+    // place (each element reads only its own four bytes).
+    const char* slice = reinterpret_cast<const char*>(out);
+    if (io->use_mmap) {
+      slice = io->map.data() + io->col_offsets[col];
+    } else {
+      FDX_RETURN_IF_ERROR(io->ReadAt(io->col_offsets[col], io->col_sizes[col],
+                                     reinterpret_cast<char*>(out), path));
     }
+    for (size_t r = 0; r < chunk.rows; ++r) out[r] = ReadI32(slice + r * 4);
   }
   // The slice has been copied out as codes; its pages are dead weight.
   // Drop the whole mapping, not just the slice: every fault also maps
   // the cached pages around it (fault-around), and those would outlive
   // a slice-sized drop. A page another column still needs faults back.
   io->DropRange(0, io->file_size);
+  const int32_t dict_size = static_cast<int32_t>(to_transform.size());
+  for (size_t r = 0; r < chunk.rows; ++r) {
+    const int32_t storage = out[r];
+    if (storage < EncodedTable::kNullCode || storage >= dict_size) {
+      return Status::IOError("store: chunk '" + chunk.file + "' column " +
+                             std::to_string(col) + " has out-of-range code " +
+                             std::to_string(storage));
+    }
+    out[r] = transform(storage);
+  }
   return Status::OK();
 }
 
-Status ChunkedTable::ReadColumnCodes(size_t col,
-                                     std::vector<int32_t>* out) const {
-  const ColumnDictionary& dict = dicts_[col];
-  out->clear();
-  out->reserve(total_rows_);
-  std::vector<int32_t> storage_codes;
+Status ChunkedTable::ReadColumnCodes(size_t col, std::vector<int32_t>* out,
+                                     size_t threads) const {
+  out->resize(total_rows_);
+  std::vector<size_t> starts(chunks_.size());
+  size_t row = 0;
   for (size_t i = 0; i < chunks_.size(); ++i) {
-    const StoredChunk& chunk = chunks_[i];
-    if (!chunk.codes.empty()) {
-      for (int32_t storage : chunk.codes[col]) {
-        out->push_back(storage < 0 ? EncodedTable::kNullCode
-                                   : dict.to_transform[storage]);
-      }
-      continue;
-    }
-    // Spilled: the column is one contiguous slice of the chunk file.
-    FDX_RETURN_IF_ERROR(ReadSpilledColumn(i, col, &storage_codes));
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      const int32_t storage = storage_codes[r];
-      if (storage < EncodedTable::kNullCode ||
-          storage >= static_cast<int32_t>(dict.to_transform.size())) {
-        return Status::IOError("store: chunk '" + chunk.file +
-                               "' column " + std::to_string(col) +
-                               " has out-of-range code " +
-                               std::to_string(storage));
-      }
-      out->push_back(storage < 0 ? EncodedTable::kNullCode
-                                 : dict.to_transform[storage]);
-    }
+    starts[i] = row;
+    row += chunks_[i].rows;
+  }
+  // Each task decodes a contiguous run of chunks and stops at its first
+  // failure; the lowest failing chunk overall is then the first failure
+  // recorded, whatever the task split.
+  std::vector<Status> failures(chunks_.size());
+  ParallelForChunks(0, chunks_.size(), ResolveThreadCount(threads), threads,
+                    [&](size_t, size_t lo, size_t hi) {
+                      for (size_t i = lo; i < hi; ++i) {
+                        Status status =
+                            DecodeChunkColumn(i, col, out->data() + starts[i]);
+                        if (!status.ok()) {
+                          failures[i] = std::move(status);
+                          return;
+                        }
+                      }
+                    });
+  for (Status& status : failures) {
+    if (!status.ok()) return std::move(status);
   }
   return Status::OK();
 }
@@ -715,19 +765,25 @@ Result<Table> ChunkedTable::ReadChunkValues(size_t index) const {
 }
 
 uint64_t ChunkedTable::MappedResidentBytes() const {
-  std::lock_guard<std::mutex> lock(*io_mu_);
   uint64_t total = 0;
   for (const StoredChunk& chunk : chunks_) {
-    if (chunk.io != nullptr && chunk.io->use_mmap) {
-      total += chunk.io->map.ResidentBytes();
-    }
+    const ChunkIo* io =
+        chunk.io == nullptr
+            ? nullptr
+            : chunk.io->ready.load(std::memory_order_acquire);
+    if (io != nullptr && io->use_mmap) total += io->map.ResidentBytes();
   }
   return total;
 }
 
 uint64_t ChunkedTable::mmap_fallbacks() const {
-  std::lock_guard<std::mutex> lock(*io_mu_);
-  return mmap_fallbacks_;
+  uint64_t total = 0;
+  for (const StoredChunk& chunk : chunks_) {
+    if (chunk.io == nullptr) continue;
+    std::lock_guard<std::mutex> lock(chunk.io->mu);
+    total += chunk.io->fallbacks;
+  }
+  return total;
 }
 
 Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
@@ -780,6 +836,7 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
         chunk.fingerprint_hex.empty()) {
       return Status::IOError("store: malformed chunk entry in manifest");
     }
+    chunk.io = std::make_unique<ChunkIoOnce>();
     table.chunks_.push_back(std::move(chunk));
   }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -70,10 +69,13 @@ class ChunkCodec;
 ///
 /// Appends are single-writer (callers serialize them; the service wraps
 /// a store in its per-session mutex). Reads — ReadColumnCodes and
-/// ReadChunkValues — are safe to call concurrently with each other (the
-/// wave-parallel streaming transform decodes columns from worker
-/// threads); the per-chunk I/O state they share is created under an
-/// internal mutex.
+/// ReadChunkValues — are safe to call concurrently with each other, and
+/// ReadColumnCodes itself decodes a column's chunks in parallel on the
+/// shared pool. Each chunk's I/O state (its map, offset index and
+/// first-touch fingerprint check) is built once, under that chunk's own
+/// mutex, and published for lock-free reuse, so the first reads of
+/// different chunks open and verify them in parallel; there is no
+/// store-wide lock.
 class ChunkedTable {
  public:
   // Defined out of line: StoredChunk holds a unique_ptr to the
@@ -135,11 +137,16 @@ class ChunkedTable {
   /// Distinct exact values seen in a column (storage codes).
   size_t DictionarySize(size_t col) const { return dicts_[col].values.size(); }
 
-  /// Streams one column's transform codes (kNullCode for nulls) across
-  /// all chunks into `out` — the streaming transform's input. Spilled
-  /// chunks cost one mapped-slice decode (or one pread) of the column's
-  /// contiguous payload each. Thread-safe against concurrent reads.
-  Status ReadColumnCodes(size_t col, std::vector<int32_t>* out) const;
+  /// Decodes one column's transform codes (kNullCode for nulls) into
+  /// `out`, resized to num_rows() — the streaming transform's input.
+  /// Chunks decode in parallel on the shared pool (`threads`: 0 = the
+  /// default count), each straight into its rows of `out`; a spilled
+  /// chunk costs one mapped-slice decode (or one pread) of the column's
+  /// contiguous payload. On failure the lowest failing chunk's error is
+  /// returned at every thread count. Thread-safe against concurrent
+  /// reads.
+  Status ReadColumnCodes(size_t col, std::vector<int32_t>* out,
+                         size_t threads = 0) const;
 
   /// Exact value round-trip of one chunk (the service's replay path).
   /// Spilled chunks are fingerprint-verified before decoding, so a
@@ -173,10 +180,14 @@ class ChunkedTable {
   };
 
   /// Cached per-chunk read state, established on first access: the open
-  /// map (or a plain fd as the fallback), the per-column payload offset
-  /// index (parsed once — column reads never re-touch header/manifest
-  /// state), and the first-touch verification flag.
+  /// map (or a plain fd as the fallback) and the per-column payload
+  /// offset index (parsed once — column reads never re-touch
+  /// header/manifest state).
   struct ChunkIo;
+  /// A spilled chunk's once-only gate for its ChunkIo: built and
+  /// fingerprint-verified by the first reader under the chunk's own
+  /// mutex, then published for lock-free reuse.
+  struct ChunkIoOnce;
 
   struct StoredChunk {
     size_t rows = 0;
@@ -184,8 +195,8 @@ class ChunkedTable {
     std::string fingerprint_hex;
     /// Storage codes per column; cleared once spilled.
     std::vector<std::vector<int32_t>> codes;
-    /// Lazily created, guarded by io_mu_ during creation.
-    mutable std::unique_ptr<ChunkIo> io;
+    /// First-touch state; set for spilled chunks only.
+    std::unique_ptr<ChunkIoOnce> io;
   };
 
   int32_t EncodeCell(const Value& v, size_t col, std::vector<Value>* fresh);
@@ -197,8 +208,7 @@ class ChunkedTable {
   Status ReconstructRawPayload(size_t chunk, const ChunkIo& io,
                                std::string* out) const;
   Result<ChunkIo*> GetChunkIo(size_t chunk) const;
-  Status ReadSpilledColumn(size_t chunk, size_t col,
-                           std::vector<int32_t>* storage_codes) const;
+  Status DecodeChunkColumn(size_t chunk, size_t col, int32_t* out) const;
 
   Schema schema_;
   std::string dir_;
@@ -208,10 +218,6 @@ class ChunkedTable {
   size_t total_rows_ = 0;
   std::vector<ColumnDictionary> dicts_;
   std::vector<StoredChunk> chunks_;
-  /// Guards lazy ChunkIo creation and the fallback counter (the table
-  /// is movable, hence the indirection).
-  std::unique_ptr<std::mutex> io_mu_ = std::make_unique<std::mutex>();
-  mutable uint64_t mmap_fallbacks_ = 0;
 };
 
 }  // namespace fdx

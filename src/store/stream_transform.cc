@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -46,76 +44,22 @@ Status CheckRssCeiling(const StreamTransformOptions& options,
       std::to_string(options.rss_limit_bytes) + " bytes");
 }
 
-constexpr size_t kNoColumn = static_cast<size_t>(-1);
+}  // namespace
 
-/// Double-buffered column decoder: while the caller works on the column
-/// just returned, the next one decodes on the shared pool, so chunk I/O
-/// overlaps sort/pack compute. Falls back to inline decoding when the
-/// run is single-threaded (one buffer, zero synchronization).
-class ColumnStream {
- public:
-  ColumnStream(const ChunkedTable* table, bool async)
-      : table_(table), async_(async) {}
-  ~ColumnStream() {
-    // A pending decode still owns its buffer; let it finish.
-    if (pending_) pending_status_.wait();
-  }
-
-  /// Decodes `col` (or adopts its finished prefetch) and kicks off the
-  /// decode of `next_col` (kNoColumn: nothing follows). The returned
-  /// pointer stays valid until the next call.
-  Result<const std::vector<int32_t>*> Next(size_t col, size_t next_col) {
-    Status status = Status::OK();
-    if (pending_ && pending_col_ == col) {
-      status = pending_status_.get();
-      pending_ = false;
-      front_ ^= 1;  // the prefetch landed in the back buffer
-    } else {
-      if (pending_) {
-        (void)pending_status_.get();  // drain a mismatched prefetch
-        pending_ = false;
-      }
-      status = table_->ReadColumnCodes(col, &buf_[front_]);
-    }
-    FDX_RETURN_IF_ERROR(status);
-    if (async_ && next_col != kNoColumn) {
-      auto done = std::make_shared<std::promise<Status>>();
-      pending_status_ = done->get_future();
-      pending_col_ = next_col;
-      pending_ = true;
-      std::vector<int32_t>* dst = &buf_[front_ ^ 1];
-      const ChunkedTable* table = table_;
-      ThreadPool::Shared().Submit([table, next_col, dst, done] {
-        done->set_value(table->ReadColumnCodes(next_col, dst));
-      });
-    }
-    return &buf_[front_];
-  }
-
- private:
-  const ChunkedTable* table_;
-  bool async_;
-  int front_ = 0;
-  bool pending_ = false;
-  size_t pending_col_ = 0;
-  std::future<Status> pending_status_;
-  std::vector<int32_t> buf_[2];
-};
-
-/// Attribute passes per wave under the cache budget. A resident pass
-/// costs its pair-order array, its k-column bit matrix, and its integer
-/// accumulators; two decoded columns (streamed + decode-ahead) are
-/// reserved off the top. At least one pass always runs — a budget too
-/// small for even that degrades to wave size one rather than failing.
 size_t WaveSize(const StreamTransformOptions& options, size_t n, size_t k) {
   const uint64_t pairs = static_cast<uint64_t>(
       PairsPerAttribute(n, options.transform.max_pairs_per_attribute));
+  const uint64_t column_bytes = static_cast<uint64_t>(n) * 4;
   const uint64_t bits_bytes = (pairs + 63) / 64 * 8 * k;
-  const uint64_t order_bytes = static_cast<uint64_t>(n) * 4;
+  // The pair order, plus the sampled positions when the pass samples.
+  const uint64_t order_bytes = column_bytes + (pairs < n ? pairs * 4 : 0);
   const uint64_t accum_bytes = (static_cast<uint64_t>(k) * k + k) * 8;
   const uint64_t per_pass = bits_bytes + order_bytes + accum_bytes;
-  const uint64_t column_bytes = static_cast<uint64_t>(n) * 4;
-  const uint64_t reserved = 2 * column_bytes;
+  // One decoded column, and each packing thread's block gather scratch.
+  const uint64_t threads = ResolveThreadCount(options.transform.threads);
+  const uint64_t scratch_bytes =
+      threads * (std::min<uint64_t>(pairs, kPackBlockPairs) + 1) * 4;
+  const uint64_t reserved = column_bytes + scratch_bytes;
   const uint64_t budget = options.column_cache_bytes > reserved
                               ? options.column_cache_bytes - reserved
                               : 0;
@@ -124,24 +68,27 @@ size_t WaveSize(const StreamTransformOptions& options, size_t n, size_t k) {
       std::min<uint64_t>(k, std::max<uint64_t>(1, fit)));
 }
 
+namespace {
+
 /// The wave schedule of the memory-bounded path. Passes are grouped
 /// into waves sized by WaveSize; per wave:
 ///
-///   1. sort — each pass's attribute column is decoded (one ahead, on
-///      the pool) and the pass Reset; the column is released before the
-///      next one arrives, so only two are ever resident.
-///   2. pack — every column streams through once and is appended into
-///      all of the wave's bit matrices concurrently (passes are
-///      independent, so the fan-out is over passes, each chunk with its
-///      own gather scratch). One decode per column per wave, not one
-///      per column per pass.
+///   1. sort — each pass's attribute column is decoded and the pass
+///      Reset (a serial counting sort). Only one decoded column is ever
+///      resident: every decode fills the same buffer, its chunks in
+///      parallel on the pool.
+///   2. pack — every column is decoded once and packed into all of the
+///      wave's bit matrices, fanned out over (pass x block) tasks of
+///      kPackBlockPairs pairs, so even a one-pass wave fills every core.
+///      The sweep starts at the last sort column, still decoded, and
+///      wraps around: one decode per wave saved.
 ///   3. accumulate — per-pass popcounts run in parallel into per-pass
 ///      integer buffers, then merge serially in attribute order.
 ///
-/// Counts are integers (commutative merges) and pooled pass covariances
-/// land in per-attribute slots reduced in attribute order, so the
-/// result is bit-identical to the in-memory transform at any thread
-/// count and wave size.
+/// Counts are integers (commutative merges), pack blocks write disjoint
+/// words, and pooled pass covariances land in per-attribute slots
+/// reduced in attribute order, so the result is bit-identical to the
+/// in-memory transform at any thread count and wave size.
 Status AccumulateWaves(const ChunkedTable& table,
                        const StreamTransformOptions& options,
                        const std::vector<uint32_t>& shuffled,
@@ -156,19 +103,21 @@ Status AccumulateWaves(const ChunkedTable& table,
   *total = 0;
   const size_t wave = WaveSize(options, n, k);
   const size_t threads = ResolveThreadCount(options.transform.threads);
-  const bool async = threads > 1 && ThreadPool::Shared().size() > 0;
+  const size_t pairs =
+      PairsPerAttribute(n, options.transform.max_pairs_per_attribute);
+  const size_t blocks = (pairs + kPackBlockPairs - 1) / kPackBlockPairs;
   const Deadline* deadline = options.transform.deadline;
 
   StageTimes times;
   Stopwatch watch;
-  ColumnStream stream(&table, async);
+  std::vector<int32_t> codes;
   std::vector<AttributePass> passes(wave);
   std::vector<BitMatrix> bits(wave);
   std::vector<std::vector<uint64_t>> pass_counts(
       wave, std::vector<uint64_t>(k, 0));
   std::vector<std::vector<uint64_t>> pass_co_counts(
       wave, std::vector<uint64_t>(k * k, 0));
-  std::vector<PackScratch> scratch(std::min(threads, wave));
+  std::vector<std::vector<int32_t>> gathered(std::min(threads, wave * blocks));
 
   for (size_t wave_lo = 0; wave_lo < k; wave_lo += wave) {
     const size_t wave_hi = std::min(k, wave_lo + wave);
@@ -181,11 +130,8 @@ Status AccumulateWaves(const ChunkedTable& table,
     watch.Reset();
     for (size_t i = 0; i < w; ++i) {
       const size_t attr = wave_lo + i;
-      // After the last sort column, the first pack column (0) follows.
-      const size_t next = i + 1 < w ? attr + 1 : 0;
-      FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes,
-                           stream.Next(attr, next));
-      passes[i].Reset(*codes, table.Cardinality(attr), shuffled,
+      FDX_RETURN_IF_ERROR(table.ReadColumnCodes(attr, &codes, threads));
+      passes[i].Reset(codes, table.Cardinality(attr), shuffled,
                       options.transform.max_pairs_per_attribute,
                       attr_seeds[attr]);
       bits[i].Reset(passes[i].num_pairs(), k);
@@ -193,41 +139,40 @@ Status AccumulateWaves(const ChunkedTable& table,
     times.sort += watch.ElapsedSeconds();
 
     watch.Reset();
-    for (size_t col = 0; col < k; ++col) {
+    const size_t tasks = w * blocks;
+    for (size_t step = 0; step < k; ++step) {
       if (deadline != nullptr && deadline->Expired()) {
         return Status::Timeout("pair transform: time budget exhausted");
       }
-      // After the last pack column, the next wave's first sort column.
-      const size_t next = col + 1 < k
-                              ? col + 1
-                              : (wave_hi < k ? wave_hi : kNoColumn);
-      FDX_ASSIGN_OR_RETURN(const std::vector<int32_t>* codes,
-                           stream.Next(col, next));
-      ParallelForChunks(0, w, std::min(threads, w), threads,
-                        [&](size_t chunk, size_t lo, size_t hi) {
-                          for (size_t i = lo; i < hi; ++i) {
-                            ColumnBitWriter writer(bits[i].column_words(col));
-                            AppendPassColumnBits(*codes, passes[i], &writer,
-                                                 &scratch[chunk]);
-                            writer.Flush();
-                          }
-                        });
+      const size_t col = (wave_hi - 1 + step) % k;
+      if (step > 0) {
+        FDX_RETURN_IF_ERROR(table.ReadColumnCodes(col, &codes, threads));
+      }
+      ParallelForChunks(
+          0, tasks, std::min(threads, tasks), threads,
+          [&](size_t chunk, size_t lo, size_t hi) {
+            for (size_t task = lo; task < hi; ++task) {
+              const size_t i = task / blocks;
+              const size_t pair_lo = task % blocks * kPackBlockPairs;
+              const size_t pair_hi =
+                  std::min(pairs, pair_lo + kPackBlockPairs);
+              PackPassBlock(codes.data(), passes[i], pair_lo, pair_hi,
+                            bits[i].column_words(col) + pair_lo / 64,
+                            &gathered[chunk]);
+            }
+          });
     }
     times.pack += watch.ElapsedSeconds();
 
     watch.Reset();
-    ParallelForChunks(0, w, std::min(threads, w), threads,
-                      [&](size_t chunk, size_t lo, size_t hi) {
-                        (void)chunk;
-                        for (size_t i = lo; i < hi; ++i) {
-                          std::fill(pass_counts[i].begin(),
-                                    pass_counts[i].end(), 0);
-                          std::fill(pass_co_counts[i].begin(),
-                                    pass_co_counts[i].end(), 0);
-                          bits[i].AccumulateMoments(pass_counts[i].data(),
-                                                    pass_co_counts[i].data());
-                        }
-                      });
+    ParallelFor(0, w, threads, [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        std::fill(pass_counts[i].begin(), pass_counts[i].end(), 0);
+        std::fill(pass_co_counts[i].begin(), pass_co_counts[i].end(), 0);
+        bits[i].AccumulateMoments(pass_counts[i].data(),
+                                  pass_co_counts[i].data());
+      }
+    });
     for (size_t i = 0; i < w; ++i) {
       const size_t attr = wave_lo + i;
       for (size_t c = 0; c < k; ++c) (*counts)[c] += pass_counts[i][c];
@@ -272,7 +217,8 @@ Status AccumulateStream(const ChunkedTable& table,
   std::vector<std::vector<int32_t>> columns(k);
   std::vector<size_t> cardinalities(k);
   for (size_t c = 0; c < k; ++c) {
-    FDX_RETURN_IF_ERROR(table.ReadColumnCodes(c, &columns[c]));
+    FDX_RETURN_IF_ERROR(
+        table.ReadColumnCodes(c, &columns[c], options.transform.threads));
     cardinalities[c] = table.Cardinality(c);
   }
   FDX_RETURN_IF_ERROR(CheckRssCeiling(options, table));

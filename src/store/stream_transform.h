@@ -32,6 +32,15 @@ struct StreamTransformOptions {
   uint64_t rss_limit_bytes = 0;
 };
 
+/// Attribute passes per wave of the bounded schedule for an n x k table
+/// under `options.column_cache_bytes`. The budget is charged, off the
+/// top, one decoded column and every packing thread's block gather
+/// scratch; then, per pass, its pair order (and sampled positions), its
+/// k-column bit matrix and its integer accumulators. At least one pass
+/// always runs: a budget too small for even that degrades to waves of
+/// one rather than failing.
+size_t WaveSize(const StreamTransformOptions& options, size_t n, size_t k);
+
 /// PairTransformMoments over a ChunkedTable. Bit-identical to running the
 /// in-memory transform on the concatenation of every appended batch, at
 /// any chunk size, cache budget, and thread count.

@@ -26,12 +26,20 @@ void Fingerprint::Mix(const unsigned char* bytes, size_t len) {
 }
 
 void Fingerprint::Update(const void* data, size_t len) {
+  BeginUpdate(len);
+  UpdatePart(data, len);
+}
+
+void Fingerprint::BeginUpdate(size_t len) {
   unsigned char frame[8];
   for (size_t i = 0; i < 8; ++i) {
     frame[i] = static_cast<unsigned char>((static_cast<uint64_t>(len) >>
                                            (8 * i)) & 0xff);
   }
   Mix(frame, sizeof(frame));
+}
+
+void Fingerprint::UpdatePart(const void* data, size_t len) {
   Mix(static_cast<const unsigned char*>(data), len);
 }
 

@@ -23,6 +23,12 @@ class Fingerprint {
   /// Mixes `len` raw bytes into the digest, framed by their length.
   void Update(const void* data, size_t len);
 
+  /// Update delivered in pieces, for bytes no one buffer holds at once:
+  /// BeginUpdate(len) frames them, then UpdatePart calls must supply
+  /// exactly `len` bytes in order. The digest equals Update's.
+  void BeginUpdate(size_t len);
+  void UpdatePart(const void* data, size_t len);
+
   /// Mixes a string (length-prefixed, so field boundaries survive).
   void UpdateString(const std::string& text);
 

@@ -180,6 +180,32 @@ TEST(CsvTest, WriteReadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(CsvTest, WriteCsvRoundTripsDoublesBitExact) {
+  // Shortest round-trip form: none of these survive a 6-digit %g. An
+  // integral double prints in integer form and reads back as that int.
+  const double cells[] = {0.1, 0.123456789, 1234567.5, 1e300,
+                          4.9406564584124654e-324, -2.5e-310};
+  Table t{Schema({"x", "integral"})};
+  for (double cell : cells) t.AppendRow({Value(cell), Value(3.0)});
+  const std::string path = TempPath("fdx_csv_doubles_test");
+  ASSERT_TRUE(WriteCsv(t, path).ok());
+  auto back = ReadCsv(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  ASSERT_EQ(back->num_rows(), std::size(cells));
+  for (size_t r = 0; r < std::size(cells); ++r) {
+    ASSERT_EQ(back->cell(r, 0).type(), ValueType::kDouble) << r;
+    double read = back->cell(r, 0).AsDouble();
+    uint64_t want_bits = 0;
+    uint64_t read_bits = 0;
+    std::memcpy(&want_bits, &cells[r], sizeof(want_bits));
+    std::memcpy(&read_bits, &read, sizeof(read_bits));
+    EXPECT_EQ(read_bits, want_bits) << "row " << r;
+    ASSERT_EQ(back->cell(r, 1).type(), ValueType::kInt);
+    EXPECT_EQ(back->cell(r, 1).AsInt(), 3);
+  }
+}
+
 // --- chunked streaming reader ------------------------------------------
 
 /// Concatenates the chunks a chunked read produces back into one table.

@@ -119,6 +119,18 @@ TEST(FingerprintTest, Deterministic) {
   EXPECT_EQ(a.Hex(), b.Hex());
 }
 
+TEST(FingerprintTest, PiecewiseUpdateMatchesOneShot) {
+  const std::string bytes = "chunk payload bytes";
+  Fingerprint whole;
+  whole.Update(bytes.data(), bytes.size());
+  Fingerprint pieces;
+  pieces.BeginUpdate(bytes.size());
+  pieces.UpdatePart(bytes.data(), 5);
+  pieces.UpdatePart(bytes.data() + 5, 0);
+  pieces.UpdatePart(bytes.data() + 5, bytes.size() - 5);
+  EXPECT_EQ(pieces.Hex(), whole.Hex());
+}
+
 Table MakeTable(std::vector<std::string> names,
                 const std::vector<std::vector<int64_t>>& rows) {
   Table table{Schema(std::move(names))};

@@ -127,8 +127,10 @@ TEST(StoreEquivalenceTest, BoundedCacheDoesNotChangeResults) {
   auto store = ChunkedTable::Create(table.schema(), "");
   ASSERT_TRUE(store.ok());
   AppendInChunks(table, 57, &store.value());
-  // 2-column cache: forces waves of one pass, each re-decoding every
-  // column.
+  // 2-column cache: the planner reserves one decoded column plus a
+  // gather buffer per packing thread off the top, which leaves no room
+  // for even one pass, so every wave holds a single pass and re-decodes
+  // every column but its sort column.
   StreamTransformOptions stream;
   stream.column_cache_bytes = 2 * 400 * sizeof(int32_t);
   auto streamed = StreamTransformMoments(store.value(), stream);
@@ -192,11 +194,13 @@ TEST(StoreEquivalenceTest, WaveScheduleIdenticalAcrossThreads) {
   // can still hold several passes. Per pass the wave planner charges the
   // pair order (one column, 1600 bytes), the bit matrix (7 words x 10
   // columns x 8 bytes) and the integer accumulators ((100 + 10) x 8),
-  // 3040 bytes, after reserving two decoded columns. A 2-column budget
-  // therefore runs waves of one pass; a 9-column one (14400 bytes, still
-  // short of the 16000 all columns need) runs waves of three passes
-  // (3, 3, 3, 1). The parallel wave scheduler, with its async
-  // decode-ahead, must match the in-memory transform bit-for-bit at
+  // 3040 bytes, after reserving one decoded column (1600 bytes) and a
+  // 401-code gather buffer (1604 bytes) per packing thread. A 2-column
+  // budget therefore runs waves of one pass; a 9-column one (14400
+  // bytes, still short of the 16000 all columns need) runs waves of
+  // three passes (3, 3, 3, 1) on one or two threads and of one pass on
+  // eight, whose gather buffers take 12832 bytes. The (pass x block)
+  // pack fan-out must match the in-memory transform bit-for-bit at
   // every thread count.
   const Table narrow = FdTable(400);
   Table table{Schema({"city", "state", "zip", "noise", "w0", "w1", "w2",
@@ -225,6 +229,9 @@ TEST(StoreEquivalenceTest, WaveScheduleIdenticalAcrossThreads) {
       StreamTransformOptions stream;
       stream.transform = transform;
       stream.column_cache_bytes = budget_columns * column_bytes;
+      EXPECT_EQ(WaveSize(stream, table.num_rows(), table.num_columns()),
+                budget_columns == 9 && threads <= 2 ? 3u : 1u)
+          << threads << " threads, " << budget_columns << " columns";
       auto streamed = StreamTransformMoments(store.value(), stream);
       ASSERT_TRUE(streamed.ok())
           << threads << " threads, " << budget_columns << " columns: "

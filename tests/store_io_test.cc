@@ -5,11 +5,13 @@
 // the same bytes, compressed stores fingerprint identically to raw
 // ones, and every corruption mode fails loudly with kIOError on both
 // read paths.
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -425,6 +427,166 @@ TEST(StoreIoTest, CorruptChunkRejectedOnFirstColumnReadOnBothPaths) {
     EXPECT_EQ(store.value().mmap_fallbacks(), fallback ? 1u : 0u);
     ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
   }
+}
+
+// ReadColumnCodes decodes a column's chunks in parallel. Whatever the
+// thread count, a read with several bad chunks must report the lowest
+// one, and first touches racing on the same chunks must open each chunk
+// once.
+
+constexpr size_t kParallelChunks = 10;
+constexpr size_t kParallelChunkRows = 50;
+const size_t kReadThreads[] = {1, 2, 4, 8};
+
+/// A spilled raw store of kParallelChunks chunks, still open (so Open's
+/// own verification never runs on what the caller then corrupts).
+ChunkedTable TenChunkStore(const std::string& dir) {
+  auto store = ChunkedTable::Create(IoTable(1).schema(), dir);
+  EXPECT_TRUE(store.ok());
+  AppendInChunks(IoTable(kParallelChunks * kParallelChunkRows),
+                 kParallelChunkRows, &store.value());
+  EXPECT_EQ(store.value().num_chunks(), kParallelChunks);
+  return std::move(store).value();
+}
+
+std::string ChunkPath(const std::string& dir, size_t chunk) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "/chunk-%06zu.bin", chunk);
+  return dir + name;
+}
+
+/// Overwrites 4 bytes of a chunk file in place (same inode, so a live
+/// mapping of the chunk sees them once its pages fault back in).
+void PatchInPlace(const std::string& path, size_t offset, int32_t value) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0) << path;
+  char bytes[4];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<char>(static_cast<uint32_t>(value) >> (8 * i));
+  }
+  ASSERT_EQ(::pwrite(fd, bytes, 4, static_cast<off_t>(offset)), 4);
+  ::close(fd);
+}
+
+TEST(StoreIoTest, ParallelDecodeReportsLowestFailingChunkOnFingerprint) {
+  for (bool fallback : {false, true}) {
+    const std::string dir = FreshDir(fallback ? "low_fp_r" : "low_fp_m");
+    ChunkedTable store = TenChunkStore(dir);
+    // Byte 32 is the low byte of column 0's first storage code; bumping
+    // it keeps the code in range, so only the first-touch fingerprint
+    // check can catch it.
+    for (size_t chunk : {size_t{3}, size_t{7}}) {
+      auto contents = ReadFileToString(ChunkPath(dir, chunk));
+      ASSERT_TRUE(contents.ok());
+      contents.value()[32] = static_cast<char>(contents.value()[32] ^ 1);
+      ASSERT_TRUE(
+          WriteFileAtomic(ChunkPath(dir, chunk), contents.value()).ok());
+    }
+    // A failed first touch publishes nothing, so every read retries it.
+    for (size_t threads : kReadThreads) {
+      if (fallback) {
+        ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+      }
+      std::vector<int32_t> codes;
+      const Status read = store.ReadColumnCodes(0, &codes, threads);
+      DisarmFaults();
+      ASSERT_FALSE(read.ok()) << threads;
+      EXPECT_EQ(read.code(), StatusCode::kIOError);
+      EXPECT_NE(read.message().find("chunk-000003.bin' fingerprint mismatch"),
+                std::string::npos)
+          << threads << " threads: " << read.message();
+    }
+    ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+  }
+}
+
+TEST(StoreIoTest, ParallelDecodeReportsLowestFailingChunkOnCodeRange) {
+  for (bool fallback : {false, true}) {
+    const std::string dir = FreshDir(fallback ? "low_rng_r" : "low_rng_m");
+    ChunkedTable store = TenChunkStore(dir);
+    // Verify every chunk first, then corrupt codes in place: the file
+    // is trusted now, so the code-range check is what must catch them.
+    if (fallback) {
+      ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+    }
+    std::vector<int32_t> codes;
+    const Status clean = store.ReadColumnCodes(0, &codes);
+    DisarmFaults();
+    ASSERT_TRUE(clean.ok()) << clean.message();
+    EXPECT_EQ(store.mmap_fallbacks(), fallback ? kParallelChunks : 0u);
+    PatchInPlace(ChunkPath(dir, 7), 32 + 5 * 4, -7);
+    PatchInPlace(ChunkPath(dir, 3), 32 + 9 * 4, 1 << 20);
+    for (size_t threads : kReadThreads) {
+      const Status read = store.ReadColumnCodes(0, &codes, threads);
+      ASSERT_FALSE(read.ok()) << threads;
+      EXPECT_EQ(read.code(), StatusCode::kIOError);
+      EXPECT_EQ(read.message(),
+                "store: chunk 'chunk-000003.bin' column 0 has out-of-range "
+                "code 1048576")
+          << threads << " threads";
+    }
+    ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+  }
+}
+
+TEST(StoreIoTest, ConcurrentFirstTouchesFallBackOncePerChunk) {
+  const std::string dir = FreshDir("race");
+  const Table table = IoTable(kParallelChunks * kParallelChunkRows);
+  {
+    auto store = ChunkedTable::Create(table.schema(), dir);
+    ASSERT_TRUE(store.ok());
+    AppendInChunks(table, kParallelChunkRows, &store.value());
+  }
+  auto store = ChunkedTable::Open(dir);
+  ASSERT_TRUE(store.ok());
+  const EncodedTable encoded = EncodedTable::Encode(table);
+  // Raw stores open no chunk I/O state until the first column read, so
+  // every reader below races to first-touch all ten chunks.
+  ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+  std::vector<std::vector<int32_t>> codes(8);
+  std::vector<Status> reads(codes.size());
+  std::vector<std::thread> readers;
+  for (size_t i = 0; i < codes.size(); ++i) {
+    readers.emplace_back([&, i] {
+      reads[i] = store.value().ReadColumnCodes(i % table.num_columns(),
+                                               &codes[i], kReadThreads[i % 4]);
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  DisarmFaults();
+  for (size_t i = 0; i < codes.size(); ++i) {
+    ASSERT_TRUE(reads[i].ok()) << reads[i].message();
+    EXPECT_EQ(codes[i], encoded.column_codes(i % table.num_columns()));
+  }
+  EXPECT_EQ(store.value().mmap_fallbacks(), kParallelChunks);
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
+TEST(StoreIoTest, DecompressFaultSurfacesAtEveryThreadCount) {
+  const std::string dir = FreshDir("decomp_threads");
+  {
+    auto store = ChunkedTable::Create(IoTable(1).schema(), dir, "varint");
+    ASSERT_TRUE(store.ok());
+    AppendInChunks(IoTable(kParallelChunks * kParallelChunkRows),
+                   kParallelChunkRows, &store.value());
+  }
+  auto store = ChunkedTable::Open(dir);
+  ASSERT_TRUE(store.ok());
+  for (const char* schedule : {":1", ":6", ""}) {
+    for (size_t threads : kReadThreads) {
+      ASSERT_TRUE(
+          ArmFaults(std::string(kFaultStoreDecompress) + schedule).ok());
+      std::vector<int32_t> codes;
+      const Status read = store.value().ReadColumnCodes(1, &codes, threads);
+      DisarmFaults();
+      ASSERT_FALSE(read.ok()) << schedule << " x" << threads;
+      EXPECT_EQ(read.code(), StatusCode::kIOError);
+      EXPECT_NE(read.message().find("decompression failed"),
+                std::string::npos)
+          << read.message();
+    }
+  }
+  ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
 }
 
 TEST(StoreIoTest, VarintCodecLookup) {

@@ -8,12 +8,14 @@
 
 #include "core/pairs.h"
 #include "core/transform.h"
+#include "core/transform_kernels.h"
 #include "data/csv.h"
 #include "linalg/stats.h"
 #include "store/chunked_table.h"
 #include "store/stream_transform.h"
 #include "synth/generator.h"
 #include "util/reservoir.h"
+#include "scoped_threads.h"
 
 namespace fdx {
 namespace {
@@ -551,6 +553,158 @@ TEST(TransformTest, ProfileRecordsStageTimings) {
     EXPECT_GT(profile.sort_seconds, 0.0) << engine;
     EXPECT_GT(profile.pack_seconds, 0.0) << engine;
     EXPECT_GT(profile.accumulate_seconds, 0.0) << engine;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Pack-block boundaries. Both engines pack each pass in blocks of
+// kPackBlockPairs pairs (the out-of-core waves fan the blocks out over
+// threads), so row counts around one and two blocks, nulls whose sorted
+// run ends exactly at a block edge, sampled passes, every wave size the
+// budget can plan and every thread count must all reproduce the scalar
+// reference bit-for-bit.
+
+constexpr size_t kBlockTestColumns = 16;
+
+/// n x 16 with heavy ties. Column c < 8 is null on its first
+/// kNullRuns[c] rows: its own pass sorts nulls first, so the null run
+/// ends at pair index kNullRuns[c] - 1, on a block edge for the runs
+/// around 64 and kPackBlockPairs. Column 8 is null on the rows next to
+/// multiples of the block size; the rest are tied small domains, two of
+/// them functions of column 9.
+Table BlockEdgeTable(size_t n) {
+  constexpr size_t B = kPackBlockPairs;
+  const size_t null_runs[] = {0, 1, 63, 64, 65, B - 1, B, B + 1};
+  std::vector<std::string> names;
+  for (size_t c = 0; c < kBlockTestColumns; ++c) {
+    names.push_back("c" + std::to_string(c));
+  }
+  Table t{Schema(std::move(names))};
+  Rng rng(n);
+  std::vector<Value> row(kBlockTestColumns);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < 8; ++c) {
+      const int domain = static_cast<int>(c) + 2;
+      row[c] = r < null_runs[c] ? Value::Null()
+                                : Value(rng.NextInt(0, domain));
+    }
+    row[8] = r % B == 0 || r % B == B - 1 ? Value::Null()
+                                          : Value(rng.NextInt(0, 5));
+    const int64_t key = rng.NextInt(0, 40);
+    row[9] = Value(key);
+    row[10] = Value(key % 7);
+    row[11] = Value(key / 3 + (rng.NextBernoulli(0.05) ? 1 : 0));
+    for (size_t c = 12; c < kBlockTestColumns; ++c) {
+      row[c] = Value(rng.NextInt(0, 3));
+    }
+    t.AppendRow(row);
+  }
+  return t;
+}
+
+void ExpectMomentsMatchRef(const TransformedMoments& moments,
+                           const RefMomentsResult& ref,
+                           const std::string& label) {
+  EXPECT_EQ(moments.num_samples, ref.total) << label;
+  ASSERT_EQ(moments.mean.size(), ref.mean.size()) << label;
+  for (size_t c = 0; c < ref.mean.size(); ++c) {
+    EXPECT_EQ(moments.mean[c], ref.mean[c]) << label << " mean[" << c << "]";
+  }
+  for (size_t x = 0; x < ref.cov.rows(); ++x) {
+    for (size_t y = 0; y < ref.cov.cols(); ++y) {
+      ASSERT_EQ(moments.cov(x, y), ref.cov(x, y))
+          << label << " cov(" << x << "," << y << ")";
+    }
+  }
+}
+
+/// The smallest cache budget for which the wave planner picks waves of
+/// `w` passes, or 0 when no budget below the resident threshold (all
+/// decoded columns) does.
+uint64_t BudgetForWave(StreamTransformOptions options, size_t n, size_t k,
+                       size_t w) {
+  const auto planned = [&](uint64_t budget) {
+    options.column_cache_bytes = budget;
+    return WaveSize(options, n, k);
+  };
+  uint64_t lo = 1;
+  uint64_t hi = static_cast<uint64_t>(n) * k * sizeof(int32_t) - 1;
+  if (planned(hi) < w) return 0;
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (planned(mid) >= w) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return planned(lo) == w ? lo : 0;
+}
+
+TEST(TransformTest, PackBlockBoundariesMatchReferenceAtEveryWaveAndThread) {
+  constexpr size_t B = kPackBlockPairs;
+  const size_t k = kBlockTestColumns;
+  for (size_t n : {size_t{2}, size_t{63}, size_t{64}, size_t{65}, B - 1, B,
+                   B + 1, 2 * B + 37}) {
+    const Table table = BlockEdgeTable(n);
+    auto store = ChunkedTable::Create(table.schema(), /*dir=*/"");
+    ASSERT_TRUE(store.ok());
+    // Chunks of 1000 rows (the last one short), so chunk edges fall
+    // inside pack blocks.
+    for (size_t lo = 0; lo < n; lo += 1000) {
+      Table batch{table.schema()};
+      std::vector<Value> row(k);
+      for (size_t r = lo; r < std::min(n, lo + 1000); ++r) {
+        for (size_t c = 0; c < k; ++c) row[c] = table.cell(r, c);
+        batch.AppendRow(row);
+      }
+      ASSERT_TRUE(store->AppendBatch(batch).ok());
+    }
+    // Unsampled, then sampled down to about two thirds of the pairs
+    // (two blocks, the second partial, at n = 2B + 37).
+    for (size_t max_pairs : {size_t{0}, std::max<size_t>(1, n - n / 3 - 1)}) {
+      TransformOptions transform;
+      transform.seed = 3 + n;
+      transform.max_pairs_per_attribute = max_pairs;
+      const RefMomentsResult ref = RefMoments(table, transform);
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+        const ScopedThreads scoped(threads);
+        const std::string at = "n=" + std::to_string(n) +
+                               " max_pairs=" + std::to_string(max_pairs) +
+                               " threads=" + std::to_string(threads);
+        auto memory = PairTransformMoments(table, transform);
+        ASSERT_TRUE(memory.ok()) << at;
+        ExpectMomentsMatchRef(*memory, ref, at + " in-memory");
+
+        // Waves of 1, 2 and the most passes a budget below the resident
+        // threshold allows; a wave of all k passes is the resident path
+        // (budget 0), since each pass's pair order already costs a column.
+        StreamTransformOptions stream;
+        stream.transform = transform;
+        std::vector<size_t> waves = {1, 2};
+        stream.column_cache_bytes = n * k * sizeof(int32_t) - 1;
+        waves.push_back(WaveSize(stream, n, k));
+        if (n >= B - 1) {
+          EXPECT_GE(waves.back(), 2u) << at << ": no multi-pass wave fits";
+        }
+        std::vector<uint64_t> budgets = {0};
+        for (size_t w : waves) {
+          const uint64_t budget = BudgetForWave(stream, n, k, w);
+          if (budget != 0) budgets.push_back(budget);
+        }
+        for (uint64_t budget : budgets) {
+          stream.column_cache_bytes = budget;
+          const std::string label =
+              at + (budget == 0 ? std::string(" resident")
+                                : " wave=" +
+                                      std::to_string(WaveSize(stream, n, k)));
+          auto streamed = StreamTransformMoments(*store, stream);
+          ASSERT_TRUE(streamed.ok())
+              << label << ": " << streamed.status().message();
+          ExpectMomentsMatchRef(*streamed, ref, label);
+        }
+      }
+    }
   }
 }
 
