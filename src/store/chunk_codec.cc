@@ -87,6 +87,4 @@ Result<const ChunkCodec*> FindChunkCodec(const std::string& name) {
                                  "' (want none|varint)");
 }
 
-std::vector<std::string> ChunkCodecNames() { return {"none", "varint"}; }
-
 }  // namespace fdx

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "util/status.h"
 
@@ -42,9 +41,6 @@ class ChunkCodec {
 /// distinguish "store is uncompressed" from "store needs a codec this
 /// build doesn't have".
 Result<const ChunkCodec*> FindChunkCodec(const std::string& name);
-
-/// Names accepted by FindChunkCodec, "none" included (for usage text).
-std::vector<std::string> ChunkCodecNames();
 
 }  // namespace fdx
 

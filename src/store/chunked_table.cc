@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <utility>
@@ -31,7 +30,7 @@ constexpr char kChunkMagic[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '1'};
 constexpr char kChunkMagicV2[8] = {'F', 'D', 'X', 'C', 'H', 'N', 'K', '2'};
 constexpr size_t kChunkHeaderBytes = 8 + 3 * 8;  // magic + rows/cols/dict_bytes
 constexpr int kManifestVersion = 1;
-/// Bytes of a raw chunk hashed between page drops on first touch.
+/// Bytes of a raw chunk hashed between page drops when it is verified.
 constexpr uint64_t kVerifyWindowBytes = uint64_t{1} << 20;
 
 void AppendU64(std::string* out, uint64_t v) {
@@ -44,6 +43,11 @@ uint64_t ReadU64(const char* p) {
     v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
   }
   return v;
+}
+
+void WriteI32(char* p, int32_t v) {
+  const uint32_t u = static_cast<uint32_t>(v);
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<char>(u >> (8 * i));
 }
 
 void AppendI32(std::string* out, int32_t v) {
@@ -105,18 +109,18 @@ Result<Value> ParseDictionaryValue(const JsonValue& cell) {
   }
   const std::string& tag = cell.array()[0].string_value();
   const std::string& text = cell.array()[1].string_value();
-  errno = 0;
-  char* end = nullptr;
+  // from_chars, not strtod: it takes back every ExactDouble text —
+  // subnormals included, where strtod reports ERANGE.
   if (tag == "i") {
-    const long long parsed = std::strtoll(text.c_str(), &end, 10);
-    if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
+    int64_t parsed = 0;
+    if (!ParseExact(text, &parsed)) {
       return Status::IOError("store: malformed int cell '" + text + "'");
     }
-    return Value(static_cast<int64_t>(parsed));
+    return Value(parsed);
   }
   if (tag == "d") {
-    const double parsed = std::strtod(text.c_str(), &end);
-    if (text.empty() || end == nullptr || *end != '\0' || errno == ERANGE) {
+    double parsed = 0.0;
+    if (!ParseExact(text, &parsed)) {
       return Status::IOError("store: malformed double cell '" + text + "'");
     }
     return Value(parsed);
@@ -154,6 +158,7 @@ Status DecodeCompressedColumn(const ChunkCodec& codec, const char* data,
 /// share it without further locking (mapped reads and pread are both
 /// safe).
 struct ChunkedTable::ChunkIo {
+  std::string path;    ///< the chunk file, for error messages
   MmapFile map;        ///< valid when use_mmap
   int fd = -1;         ///< pread fallback, kept open across column reads
   bool use_mmap = false;
@@ -176,12 +181,8 @@ struct ChunkedTable::ChunkIo {
 
   /// Copies `[offset, offset+len)` of the chunk file into `dst`, from
   /// the map or via pread on the cached fd.
-  Status ReadAt(uint64_t offset, size_t len, char* dst,
-                const std::string& path) const {
-    if (offset + len > file_size) {
-      return Status::IOError("store: chunk '" + path +
-                             "' is shorter than its header promises");
-    }
+  Status ReadAt(uint64_t offset, size_t len, char* dst) const {
+    FDX_RETURN_IF_ERROR(CheckRange(offset, len));
     if (use_mmap) {
       std::memcpy(dst, map.data() + offset, len);
       return Status::OK();
@@ -200,6 +201,29 @@ struct ChunkedTable::ChunkIo {
                                "' truncated mid-read");
       }
       done += static_cast<size_t>(got);
+    }
+    return Status::OK();
+  }
+
+  /// Points `*data` at `[offset, offset+len)` of the chunk file: into the
+  /// map, or (on the fallback) at `*buffer` holding a pread copy.
+  Status Slice(uint64_t offset, size_t len, std::string* buffer,
+               const char** data) const {
+    if (use_mmap) {
+      FDX_RETURN_IF_ERROR(CheckRange(offset, len));
+      *data = map.data() + offset;
+      return Status::OK();
+    }
+    buffer->resize(len);
+    FDX_RETURN_IF_ERROR(ReadAt(offset, len, buffer->data()));
+    *data = buffer->data();
+    return Status::OK();
+  }
+
+  Status CheckRange(uint64_t offset, size_t len) const {
+    if (offset > file_size || len > file_size - offset) {
+      return Status::IOError("store: chunk '" + path +
+                             "' is shorter than its header promises");
     }
     return Status::OK();
   }
@@ -242,8 +266,7 @@ Result<ChunkedTable> ChunkedTable::Create(const Schema& schema,
   return table;
 }
 
-int32_t ChunkedTable::EncodeCell(const Value& v, size_t col,
-                                 std::vector<Value>* fresh) {
+int32_t ChunkedTable::EncodeCell(const Value& v, size_t col) {
   ColumnDictionary& dict = dicts_[col];
   if (v.is_null()) {
     ++dict.null_count;
@@ -278,7 +301,6 @@ int32_t ChunkedTable::EncodeCell(const Value& v, size_t col,
   // share) the transform code — numerics merge on NumericKey, matching
   // EncodedTable::Encode.
   dict.values.push_back(v);
-  if (fresh != nullptr) fresh->push_back(v);
   int32_t transform;
   if (v.type() == ValueType::kString) {
     auto [it, inserted] =
@@ -395,7 +417,7 @@ Status ChunkedTable::AppendBatch(const Table& batch, std::string label) {
   for (size_t c = 0; c < k; ++c) {
     chunk.codes[c].reserve(chunk.rows);
     for (size_t r = 0; r < chunk.rows; ++r) {
-      chunk.codes[c].push_back(EncodeCell(batch.cell(r, c), c, nullptr));
+      chunk.codes[c].push_back(EncodeCell(batch.cell(r, c), c));
     }
   }
 
@@ -452,8 +474,9 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
   std::lock_guard<std::mutex> lock(once.mu);
   if (once.io != nullptr) return once.io.get();
 
-  const std::string path = dir_ + "/" + chunk.file;
   auto io = std::make_unique<ChunkIo>();
+  io->path = dir_ + "/" + chunk.file;
+  const std::string& path = io->path;
   if (!FaultTriggered(kFaultStoreMmap)) {
     Result<MmapFile> mapped = MmapFile::Open(path);
     if (mapped.ok()) {
@@ -483,7 +506,7 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
   if (io->file_size < kChunkHeaderBytes) {
     return Status::IOError("store: chunk '" + path + "' has a bad header");
   }
-  FDX_RETURN_IF_ERROR(io->ReadAt(0, kChunkHeaderBytes, header, path));
+  FDX_RETURN_IF_ERROR(io->ReadAt(0, kChunkHeaderBytes, header));
   const bool v1 = std::memcmp(header, kChunkMagic, sizeof(kChunkMagic)) == 0;
   const bool v2 =
       std::memcmp(header, kChunkMagicV2, sizeof(kChunkMagicV2)) == 0;
@@ -517,8 +540,7 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
     if (io->file_size < kChunkHeaderBytes + k * 8) {
       return Status::IOError("store: chunk '" + path + "' has a bad header");
     }
-    FDX_RETURN_IF_ERROR(
-        io->ReadAt(kChunkHeaderBytes, k * 8, table.data(), path));
+    FDX_RETURN_IF_ERROR(io->ReadAt(kChunkHeaderBytes, k * 8, table.data()));
     uint64_t offset = kChunkHeaderBytes + k * 8;
     for (size_t c = 0; c < k; ++c) {
       io->col_offsets[c] = offset;
@@ -532,31 +554,48 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
                            "' shape disagrees with the manifest");
   }
 
-  // First-touch verification: fingerprint the uncompressed serialization
-  // before trusting any chunk bytes — mapped or read. A raw chunk is
-  // hashed one window at a time, each mapped window's pages dropped (or
-  // the read buffer reused) before the next, so first touches running
-  // in parallel hold a window each rather than a chunk each.
+  // Verification: fingerprint the uncompressed (FDXCHNK1) serialization
+  // before trusting any chunk byte — mapped or read. It streams: a raw
+  // chunk one window at a time; a compressed one as its rebuilt raw
+  // header, then one decompressed column at a time, then its dictionary
+  // tail. Each mapped range's pages are dropped before the next, so
+  // first touches running in parallel hold a window (or a column) each
+  // rather than a chunk each.
   Fingerprint fingerprint;
-  if (io->compressed) {
-    std::string payload;
-    FDX_RETURN_IF_ERROR(ReconstructRawPayload(index, *io, &payload));
-    fingerprint.Update(payload.data(), payload.size());
-  } else {
+  std::string buffer;
+  const char* data = nullptr;
+  if (!io->compressed) {
     fingerprint.BeginUpdate(io->file_size);
-    std::string window;
     for (uint64_t at = 0; at < io->file_size; at += kVerifyWindowBytes) {
       const size_t len = static_cast<size_t>(
           std::min<uint64_t>(kVerifyWindowBytes, io->file_size - at));
-      if (io->use_mmap) {
-        fingerprint.UpdatePart(io->map.data() + at, len);
-        io->DropRange(at, len);
-        continue;
-      }
-      window.resize(len);
-      FDX_RETURN_IF_ERROR(io->ReadAt(at, len, window.data(), path));
-      fingerprint.UpdatePart(window.data(), len);
+      FDX_RETURN_IF_ERROR(io->Slice(at, len, &buffer, &data));
+      fingerprint.UpdatePart(data, len);
+      io->DropRange(at, len);
     }
+  } else {
+    fingerprint.BeginUpdate(kChunkHeaderBytes + rows * k * 4 + io->dict_bytes);
+    std::string raw;
+    raw.append(kChunkMagic, sizeof(kChunkMagic));
+    AppendU64(&raw, rows);
+    AppendU64(&raw, k);
+    AppendU64(&raw, io->dict_bytes);
+    fingerprint.UpdatePart(raw.data(), raw.size());
+    std::vector<int32_t> codes(rows);
+    char* bytes = reinterpret_cast<char*>(codes.data());
+    for (size_t c = 0; c < k; ++c) {
+      FDX_RETURN_IF_ERROR(
+          io->Slice(io->col_offsets[c], io->col_sizes[c], &buffer, &data));
+      FDX_RETURN_IF_ERROR(DecodeCompressedColumn(
+          *codec_, data, io->col_sizes[c], rows, codes.data(), chunk.file));
+      io->DropRange(io->col_offsets[c], io->col_sizes[c]);
+      // Rewritten in place as the raw format's little-endian bytes.
+      for (size_t r = 0; r < rows; ++r) WriteI32(bytes + r * 4, codes[r]);
+      fingerprint.UpdatePart(bytes, rows * 4);
+    }
+    FDX_RETURN_IF_ERROR(
+        io->Slice(io->dict_offset, io->dict_bytes, &buffer, &data));
+    fingerprint.UpdatePart(data, io->dict_bytes);
   }
   if (fingerprint.Hex() != chunk.fingerprint_hex) {
     return Status::IOError("store: chunk '" + path +
@@ -569,126 +608,67 @@ Result<ChunkedTable::ChunkIo*> ChunkedTable::GetChunkIo(size_t index) const {
   return once.io.get();
 }
 
-/// Rebuilds the uncompressed (FDXCHNK1) serialization of a compressed
-/// chunk from its established I/O state: decode every column, then copy
-/// the dictionary tail. Fingerprints and the replay path both operate
-/// on this reconstruction, so they are codec-independent.
-Status ChunkedTable::ReconstructRawPayload(size_t index, const ChunkIo& io,
-                                           std::string* out) const {
-  const StoredChunk& chunk = chunks_[index];
-  const size_t k = schema_.size();
-  out->clear();
-  out->reserve(kChunkHeaderBytes + chunk.rows * k * 4 +
-               static_cast<size_t>(io.dict_bytes));
-  out->append(kChunkMagic, sizeof(kChunkMagic));
-  AppendU64(out, chunk.rows);
-  AppendU64(out, k);
-  AppendU64(out, io.dict_bytes);
-  std::vector<int32_t> codes(chunk.rows);
-  std::string column;
-  for (size_t c = 0; c < k; ++c) {
-    column.resize(io.col_sizes[c]);
-    FDX_RETURN_IF_ERROR(io.ReadAt(io.col_offsets[c], io.col_sizes[c],
-                                  column.data(), dir_ + "/" + chunk.file));
-    FDX_RETURN_IF_ERROR(DecodeCompressedColumn(*codec_, column.data(),
-                                               column.size(), chunk.rows,
-                                               codes.data(), chunk.file));
-    for (int32_t code : codes) AppendI32(out, code);
-  }
-  std::string dict(io.dict_bytes, '\0');
-  FDX_RETURN_IF_ERROR(io.ReadAt(io.dict_offset, io.dict_bytes, dict.data(),
-                                dir_ + "/" + chunk.file));
-  *out += dict;
-  return Status::OK();
-}
-
-Status ChunkedTable::LoadChunkPayload(size_t index,
-                                      std::string* contents) const {
-  const StoredChunk& chunk = chunks_[index];
-  const std::string path = dir_ + "/" + chunk.file;
-  FDX_ASSIGN_OR_RETURN(std::string raw, ReadFileToString(path));
-  if (raw.size() >= sizeof(kChunkMagicV2) &&
-      std::memcmp(raw.data(), kChunkMagicV2, sizeof(kChunkMagicV2)) == 0) {
-    // Compressed: rebuild the uncompressed serialization, which is what
-    // the fingerprint covers and what the callers parse.
-    FDX_ASSIGN_OR_RETURN(ChunkIo * io, GetChunkIo(index));
-    FDX_RETURN_IF_ERROR(ReconstructRawPayload(index, *io, contents));
-  } else {
-    *contents = std::move(raw);
-  }
-  if (FingerprintHexOf(*contents) != chunk.fingerprint_hex) {
-    return Status::IOError("store: chunk '" + path +
-                           "' fingerprint mismatch (corrupt store)");
-  }
-  const size_t k = schema_.size();
-  if (contents->size() < kChunkHeaderBytes ||
-      std::memcmp(contents->data(), kChunkMagic, sizeof(kChunkMagic)) != 0) {
-    return Status::IOError("store: chunk '" + path + "' has a bad header");
-  }
-  const uint64_t rows = ReadU64(contents->data() + 8);
-  const uint64_t cols = ReadU64(contents->data() + 16);
-  const uint64_t dict_bytes = ReadU64(contents->data() + 24);
-  if (rows != chunk.rows || cols != k ||
-      contents->size() != kChunkHeaderBytes + rows * cols * 4 + dict_bytes) {
-    return Status::IOError("store: chunk '" + path +
-                           "' shape disagrees with the manifest");
-  }
-  return Status::OK();
-}
-
-/// One chunk's share of ReadColumnCodes: its `rows` transform codes into
-/// `out`. A spilled chunk's column is one contiguous slice of its file,
-/// decoded as storage codes into `out`, range-checked against the
-/// dictionary and mapped there in place.
+/// One chunk's column as codes in `out[0..rows)`: read from the resident
+/// codes, the mapped or preaded slice, or its decompression. Every code
+/// passes the store's one code-range check here, in the same pass that
+/// writes it — as its transform code when `transform` is set.
 Status ChunkedTable::DecodeChunkColumn(size_t index, size_t col,
-                                       int32_t* out) const {
+                                       bool transform, int32_t* out) const {
   const StoredChunk& chunk = chunks_[index];
-  const std::vector<int32_t>& to_transform = dicts_[col].to_transform;
-  const auto transform = [&](int32_t storage) {
-    return storage < 0 ? EncodedTable::kNullCode : to_transform[storage];
+  const ColumnDictionary& dict = dicts_[col];
+  const int32_t dict_size = static_cast<int32_t>(dict.values.size());
+  const int32_t* to_transform = transform ? dict.to_transform.data() : nullptr;
+  const auto check = [&](auto code_at) -> Status {
+    for (size_t r = 0; r < chunk.rows; ++r) {
+      const int32_t storage = code_at(r);
+      if (storage < EncodedTable::kNullCode || storage >= dict_size) {
+        return Status::IOError("store: chunk '" + chunk.file + "' column " +
+                               std::to_string(col) +
+                               " has out-of-range code " +
+                               std::to_string(storage));
+      }
+      out[r] = to_transform == nullptr || storage < 0 ? storage
+                                                      : to_transform[storage];
+    }
+    return Status::OK();
   };
   if (!chunk.codes.empty()) {
-    const std::vector<int32_t>& storage = chunk.codes[col];
-    for (size_t r = 0; r < chunk.rows; ++r) out[r] = transform(storage[r]);
-    return Status::OK();
+    const int32_t* codes = chunk.codes[col].data();
+    return check([codes](size_t r) { return codes[r]; });
   }
+
   FDX_ASSIGN_OR_RETURN(ChunkIo * io, GetChunkIo(index));
-  const std::string path = dir_ + "/" + chunk.file;
+  const uint64_t offset = io->col_offsets[col];
+  const size_t size = static_cast<size_t>(io->col_sizes[col]);
+  Status status;
   if (io->compressed) {
-    std::string column(io->col_sizes[col], '\0');
-    FDX_RETURN_IF_ERROR(io->ReadAt(io->col_offsets[col], io->col_sizes[col],
-                                   column.data(), path));
-    FDX_RETURN_IF_ERROR(DecodeCompressedColumn(
-        *codec_, column.data(), column.size(), chunk.rows, out, chunk.file));
-  } else {
-    // Little-endian i32s: mapped slices decode straight out of the page
-    // cache; the fallback preads the slice into `out` and decodes it in
-    // place (each element reads only its own four bytes).
-    const char* slice = reinterpret_cast<const char*>(out);
-    if (io->use_mmap) {
-      slice = io->map.data() + io->col_offsets[col];
-    } else {
-      FDX_RETURN_IF_ERROR(io->ReadAt(io->col_offsets[col], io->col_sizes[col],
-                                     reinterpret_cast<char*>(out), path));
+    std::string buffer;
+    const char* data = nullptr;
+    status = io->Slice(offset, size, &buffer, &data);
+    if (status.ok()) {
+      status = DecodeCompressedColumn(*codec_, data, size, chunk.rows, out,
+                                      chunk.file);
     }
-    for (size_t r = 0; r < chunk.rows; ++r) out[r] = ReadI32(slice + r * 4);
+    if (status.ok()) status = check([out](size_t r) { return out[r]; });
+  } else if (io->use_mmap) {
+    // Little-endian i32s, decoded straight out of the page cache.
+    const char* slice = io->map.data() + offset;
+    status = check([slice](size_t r) { return ReadI32(slice + r * 4); });
+  } else {
+    // The fallback preads the slice into `out` and decodes it in place
+    // (each element reads only its own four bytes).
+    const char* slice = reinterpret_cast<const char*>(out);
+    status = io->ReadAt(offset, size, reinterpret_cast<char*>(out));
+    if (status.ok()) {
+      status = check([slice](size_t r) { return ReadI32(slice + r * 4); });
+    }
   }
   // The slice has been copied out as codes; its pages are dead weight.
   // Drop the whole mapping, not just the slice: every fault also maps
   // the cached pages around it (fault-around), and those would outlive
   // a slice-sized drop. A page another column still needs faults back.
   io->DropRange(0, io->file_size);
-  const int32_t dict_size = static_cast<int32_t>(to_transform.size());
-  for (size_t r = 0; r < chunk.rows; ++r) {
-    const int32_t storage = out[r];
-    if (storage < EncodedTable::kNullCode || storage >= dict_size) {
-      return Status::IOError("store: chunk '" + chunk.file + "' column " +
-                             std::to_string(col) + " has out-of-range code " +
-                             std::to_string(storage));
-    }
-    out[r] = transform(storage);
-  }
-  return Status::OK();
+  return status;
 }
 
 Status ChunkedTable::ReadColumnCodes(size_t col, std::vector<int32_t>* out,
@@ -707,8 +687,9 @@ Status ChunkedTable::ReadColumnCodes(size_t col, std::vector<int32_t>* out,
   ParallelForChunks(0, chunks_.size(), ResolveThreadCount(threads), threads,
                     [&](size_t, size_t lo, size_t hi) {
                       for (size_t i = lo; i < hi; ++i) {
-                        Status status =
-                            DecodeChunkColumn(i, col, out->data() + starts[i]);
+                        Status status = DecodeChunkColumn(
+                            i, col, /*transform=*/true,
+                            out->data() + starts[i]);
                         if (!status.ok()) {
                           failures[i] = std::move(status);
                           return;
@@ -725,39 +706,20 @@ Result<Table> ChunkedTable::ReadChunkValues(size_t index) const {
   if (index >= chunks_.size()) {
     return Status::InvalidArgument("store: no chunk " + std::to_string(index));
   }
-  const StoredChunk& chunk = chunks_[index];
+  const size_t rows = chunks_[index].rows;
   const size_t k = schema_.size();
+  std::vector<std::vector<int32_t>> codes(k, std::vector<int32_t>(rows));
+  for (size_t c = 0; c < k; ++c) {
+    FDX_RETURN_IF_ERROR(
+        DecodeChunkColumn(index, c, /*transform=*/false, codes[c].data()));
+  }
   Table out{schema_};
   std::vector<Value> row(k);
-
-  const auto decode_cell = [&](size_t col, int32_t storage) -> Result<Value> {
-    if (storage == EncodedTable::kNullCode) return Value::Null();
-    if (storage < 0 ||
-        storage >= static_cast<int32_t>(dicts_[col].values.size())) {
-      return Status::IOError("store: chunk " + std::to_string(index) +
-                             " column " + std::to_string(col) +
-                             " has out-of-range code " +
-                             std::to_string(storage));
-    }
-    return dicts_[col].values[storage];
-  };
-
-  if (!chunk.codes.empty()) {
-    for (size_t r = 0; r < chunk.rows; ++r) {
-      for (size_t c = 0; c < k; ++c) {
-        FDX_ASSIGN_OR_RETURN(row[c], decode_cell(c, chunk.codes[c][r]));
-      }
-      out.AppendRow(row);
-    }
-    return out;
-  }
-  std::string payload;
-  FDX_RETURN_IF_ERROR(LoadChunkPayload(index, &payload));
-  const char* codes = payload.data() + kChunkHeaderBytes;
-  for (size_t r = 0; r < chunk.rows; ++r) {
+  for (size_t r = 0; r < rows; ++r) {
     for (size_t c = 0; c < k; ++c) {
-      const int32_t storage = ReadI32(codes + (c * chunk.rows + r) * 4);
-      FDX_ASSIGN_OR_RETURN(row[c], decode_cell(c, storage));
+      const int32_t storage = codes[c][r];
+      row[c] = storage == EncodedTable::kNullCode ? Value::Null()
+                                                  : dicts_[c].values[storage];
     }
     out.AppendRow(row);
   }
@@ -840,15 +802,17 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
     table.chunks_.push_back(std::move(chunk));
   }
 
-  // Replay each chunk in order: verify its fingerprint, extend the
-  // dictionaries with its delta, and recount nulls from its codes.
+  // Replay each chunk in order: establish it (which verifies its
+  // fingerprint), extend the dictionaries with its delta, and count
+  // nulls from its storage codes.
+  std::vector<int32_t> codes;
   for (size_t i = 0; i < table.chunks_.size(); ++i) {
-    StoredChunk& chunk = table.chunks_[i];
-    std::string payload;
-    FDX_RETURN_IF_ERROR(table.LoadChunkPayload(i, &payload));
-    const uint64_t dict_bytes = ReadU64(payload.data() + 24);
-    const size_t codes_end = kChunkHeaderBytes + chunk.rows * k * 4;
-    const std::string dict_json = payload.substr(codes_end, dict_bytes);
+    const StoredChunk& chunk = table.chunks_[i];
+    FDX_ASSIGN_OR_RETURN(ChunkIo * io, table.GetChunkIo(i));
+    std::string dict_json(static_cast<size_t>(io->dict_bytes), '\0');
+    FDX_RETURN_IF_ERROR(
+        io->ReadAt(io->dict_offset, dict_json.size(), dict_json.data()));
+    io->DropRange(0, io->file_size);
     FDX_ASSIGN_OR_RETURN(JsonValue dict_root, JsonValue::Parse(dict_json));
     const JsonValue* cols = dict_root.Find("cols");
     if (cols == nullptr || !cols->is_array() || cols->array().size() != k) {
@@ -871,9 +835,8 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
         FDX_ASSIGN_OR_RETURN(Value v, ParseDictionaryValue(cell));
         // Re-encode through the normal path; a fresh value must land on
         // the exact storage code the delta implies.
-        std::vector<Value> fresh;
         const size_t before = table.dicts_[c].values.size();
-        table.EncodeCell(v, c, &fresh);
+        table.EncodeCell(v, c);
         if (table.dicts_[c].values.size() != before + 1) {
           return Status::IOError("store: chunk '" + chunk.file +
                                  "' dictionary delta repeats a value");
@@ -882,21 +845,12 @@ Result<ChunkedTable> ChunkedTable::Open(std::string dir) {
     }
     // Null counts come from the codes themselves (EncodeCell above
     // counted nothing: dictionary values are never null).
-    const char* codes = payload.data() + kChunkHeaderBytes;
+    codes.resize(chunk.rows);
     for (size_t c = 0; c < k; ++c) {
-      const int32_t dict_size =
-          static_cast<int32_t>(table.dicts_[c].values.size());
-      for (size_t r = 0; r < chunk.rows; ++r) {
-        const int32_t storage = ReadI32(codes + (c * chunk.rows + r) * 4);
-        if (storage == EncodedTable::kNullCode) {
-          ++table.dicts_[c].null_count;
-        } else if (storage < 0 || storage >= dict_size) {
-          return Status::IOError("store: chunk '" + chunk.file +
-                                 "' column " + std::to_string(c) +
-                                 " has out-of-range code " +
-                                 std::to_string(storage));
-        }
-      }
+      FDX_RETURN_IF_ERROR(
+          table.DecodeChunkColumn(i, c, /*transform=*/false, codes.data()));
+      table.dicts_[c].null_count += static_cast<size_t>(
+          std::count(codes.begin(), codes.end(), EncodedTable::kNullCode));
     }
     table.total_rows_ += chunk.rows;
   }

@@ -54,27 +54,32 @@ class ChunkCodec;
 ///                      serialization, so raw and compressed stores of
 ///                      the same data fingerprint identically.
 ///
-/// Open() replays the dictionary deltas in chunk order and verifies
-/// every chunk's fingerprint, so a reopened store either matches the
-/// writer's state exactly or fails loudly.
-///
 /// Spilled chunks are read back through one path: each chunk file is
 /// memory-mapped once and column slices are decoded straight out of the
 /// page cache, with `madvise(SEQUENTIAL)` on map and `madvise(DONTNEED)`
 /// after each slice so a bounded-memory scan never accumulates mapped
 /// residency. If the map cannot be established (or the `store.mmap`
 /// fault point fires) that chunk is read with pread(2) instead and the
-/// fallback is counted. Either way the chunk is fingerprint-verified on
-/// first touch, before any of its codes are served.
+/// fallback is counted. Either way no chunk byte is trusted before the
+/// chunk's fingerprint matches the manifest, and every chunk is verified
+/// once: at Open for chunks on disk, on first touch for chunks appended
+/// in this process. Every stored code is range-checked against its
+/// column's dictionary as it is decoded.
+///
+/// Open() establishes every chunk (so a reopened store holds one mapping
+/// per chunk from Open on — one fd per chunk on the pread fallback),
+/// replays the dictionary deltas in chunk order and counts nulls from
+/// the codes, so a reopened store either matches the writer's state
+/// exactly or fails loudly.
 ///
 /// Appends are single-writer (callers serialize them; the service wraps
 /// a store in its per-session mutex). Reads — ReadColumnCodes and
 /// ReadChunkValues — are safe to call concurrently with each other, and
 /// ReadColumnCodes itself decodes a column's chunks in parallel on the
 /// shared pool. Each chunk's I/O state (its map, offset index and
-/// first-touch fingerprint check) is built once, under that chunk's own
-/// mutex, and published for lock-free reuse, so the first reads of
-/// different chunks open and verify them in parallel; there is no
+/// fingerprint check) is built once, under that chunk's own mutex, and
+/// published for lock-free reuse, so the first reads of different
+/// appended chunks open and verify them in parallel; there is no
 /// store-wide lock.
 class ChunkedTable {
  public:
@@ -96,9 +101,9 @@ class ChunkedTable {
                                      const std::string& codec = "",
                                      std::string label = "");
 
-  /// Reopens a spilled store, replaying dictionary deltas and verifying
-  /// every chunk fingerprint against the manifest. The codec is read
-  /// from the manifest.
+  /// Reopens a spilled store: establishes and fingerprint-verifies every
+  /// chunk against the manifest, then replays the dictionary deltas.
+  /// The codec is read from the manifest.
   static Result<ChunkedTable> Open(std::string dir);
 
   /// Encodes `batch` as one new chunk. Column count must match the
@@ -149,9 +154,9 @@ class ChunkedTable {
                          size_t threads = 0) const;
 
   /// Exact value round-trip of one chunk (the service's replay path).
-  /// Spilled chunks are fingerprint-verified before decoding, so a
-  /// corrupted store surfaces as kIOError here rather than as silently
-  /// different data.
+  /// A spilled chunk is read through the same verified state and code
+  /// check as ReadColumnCodes, so a corrupted store surfaces as kIOError
+  /// rather than as silently different data.
   Result<Table> ReadChunkValues(size_t chunk) const;
 
   /// Bytes of this store's chunk mappings currently resident in memory.
@@ -179,14 +184,14 @@ class ChunkedTable {
     size_t null_count = 0;
   };
 
-  /// Cached per-chunk read state, established on first access: the open
-  /// map (or a plain fd as the fallback) and the per-column payload
-  /// offset index (parsed once — column reads never re-touch
-  /// header/manifest state).
+  /// Cached per-chunk read state: the open map (or a plain fd as the
+  /// fallback) and the per-column payload offset index (parsed once —
+  /// column reads never re-touch header/manifest state). The only way
+  /// to a spilled chunk's bytes.
   struct ChunkIo;
   /// A spilled chunk's once-only gate for its ChunkIo: built and
-  /// fingerprint-verified by the first reader under the chunk's own
-  /// mutex, then published for lock-free reuse.
+  /// fingerprint-verified by Open or the first reader under the chunk's
+  /// own mutex, then published for lock-free reuse.
   struct ChunkIoOnce;
 
   struct StoredChunk {
@@ -195,20 +200,20 @@ class ChunkedTable {
     std::string fingerprint_hex;
     /// Storage codes per column; cleared once spilled.
     std::vector<std::vector<int32_t>> codes;
-    /// First-touch state; set for spilled chunks only.
+    /// Verified I/O state; set for spilled chunks only.
     std::unique_ptr<ChunkIoOnce> io;
   };
 
-  int32_t EncodeCell(const Value& v, size_t col, std::vector<Value>* fresh);
+  int32_t EncodeCell(const Value& v, size_t col);
   std::string SerializeChunk(const StoredChunk& chunk,
                              const std::vector<size_t>& dict_starts) const;
   std::string EncodeManifest() const;
   Status WriteManifest() const;
-  Status LoadChunkPayload(size_t chunk, std::string* contents) const;
-  Status ReconstructRawPayload(size_t chunk, const ChunkIo& io,
-                               std::string* out) const;
   Result<ChunkIo*> GetChunkIo(size_t chunk) const;
-  Status DecodeChunkColumn(size_t chunk, size_t col, int32_t* out) const;
+  /// One chunk's column into `out[0..rows)`: storage codes, or transform
+  /// codes with `transform`. Holds the store's one code-range check.
+  Status DecodeChunkColumn(size_t chunk, size_t col, bool transform,
+                           int32_t* out) const;
 
   Schema schema_;
   std::string dir_;

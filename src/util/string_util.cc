@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace fdx {
 
@@ -45,14 +47,6 @@ std::string_view StripAsciiWhitespace(std::string_view text) {
   return text.substr(begin, end - begin);
 }
 
-bool IsInteger(std::string_view text) {
-  if (text.empty()) return false;
-  int64_t value = 0;
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
 Result<int64_t> ParseIntFlag(std::string_view flag, std::string_view text,
                              int64_t min, int64_t max) {
   int64_t value = 0;
@@ -67,12 +61,45 @@ Result<int64_t> ParseIntFlag(std::string_view flag, std::string_view text,
   return value;
 }
 
-bool IsDouble(std::string_view text) {
-  if (text.empty()) return false;
+Result<double> ParseNumberFlag(std::string_view flag, std::string_view text,
+                               double min, double max) {
   double value = 0.0;
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  return ec == std::errc() && ptr == text.data() + text.size();
+  if (ParseExact(text, &value) && std::isfinite(value) && value >= min &&
+      value <= max) {
+    return value;
+  }
+  std::string range;
+  if (max < std::numeric_limits<double>::max()) {
+    range = " in [" + ExactDouble(min) + ", " + ExactDouble(max) + "]";
+  } else if (min > std::numeric_limits<double>::lowest()) {
+    range = " >= " + ExactDouble(min);
+  }
+  return Status::InvalidArgument(std::string(flag) +
+                                 " must be a finite number" + range +
+                                 ", got \"" + std::string(text) + "\"");
+}
+
+bool FlagValue(std::string_view arg, std::string_view flag,
+               std::string_view* value) {
+  if (arg.size() <= flag.size() || arg.substr(0, flag.size()) != flag ||
+      arg[flag.size()] != '=') {
+    return false;
+  }
+  *value = arg.substr(flag.size() + 1);
+  return true;
+}
+
+bool ConsumeNumberFlag(std::string_view arg, std::string_view flag,
+                       double min, double max, double* out, Status* error) {
+  std::string_view value;
+  if (!FlagValue(arg, flag, &value)) return false;
+  Result<double> parsed = ParseNumberFlag(flag, value, min, max);
+  if (parsed.ok()) {
+    *out = parsed.value();
+  } else {
+    *error = parsed.status();
+  }
+  return true;
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -21,28 +21,33 @@ std::string Join(const std::vector<std::string>& parts,
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripAsciiWhitespace(std::string_view text);
 
-/// True if `text` parses fully as a decimal integer.
-bool IsInteger(std::string_view text);
-
 /// Parses the value of an integer command-line flag (`flag` is its name,
 /// e.g. "--workers"): the whole of `text` must be a decimal integer in
 /// [min, max]. The error names the flag, the range and the bad value.
 Result<int64_t> ParseIntFlag(std::string_view flag, std::string_view text,
                              int64_t min, int64_t max);
 
-/// Command-line helper around ParseIntFlag: when `arg` is `flag=VALUE`,
-/// stores the parsed VALUE in `*out` (or the error in `*error`) and
-/// returns true; for any other argument returns false and touches
-/// nothing.
+/// Parses the value of a number command-line flag (`flag` is its name,
+/// e.g. "--lambda"): the whole of `text` must be a finite number in
+/// [min, max]. The error names the flag, the range (a bound at the
+/// limit of double goes unstated) and the bad value.
+Result<double> ParseNumberFlag(std::string_view flag, std::string_view text,
+                               double min, double max);
+
+/// When `arg` is `flag=VALUE`, points `*value` at VALUE and returns true.
+bool FlagValue(std::string_view arg, std::string_view flag,
+               std::string_view* value);
+
+/// Command-line helpers around ParseIntFlag / ParseNumberFlag: when
+/// `arg` is `flag=VALUE`, store the parsed VALUE in `*out` (or the error
+/// in `*error`) and return true; for any other argument they return
+/// false and touch nothing.
 template <typename T>
 bool ConsumeIntFlag(std::string_view arg, std::string_view flag, int64_t min,
                     int64_t max, T* out, Status* error) {
-  if (arg.size() <= flag.size() || arg.substr(0, flag.size()) != flag ||
-      arg[flag.size()] != '=') {
-    return false;
-  }
-  Result<int64_t> parsed =
-      ParseIntFlag(flag, arg.substr(flag.size() + 1), min, max);
+  std::string_view value;
+  if (!FlagValue(arg, flag, &value)) return false;
+  Result<int64_t> parsed = ParseIntFlag(flag, value, min, max);
   if (parsed.ok()) {
     *out = static_cast<T>(parsed.value());
   } else {
@@ -50,9 +55,8 @@ bool ConsumeIntFlag(std::string_view arg, std::string_view flag, int64_t min,
   }
   return true;
 }
-
-/// True if `text` parses fully as a floating-point number.
-bool IsDouble(std::string_view text);
+bool ConsumeNumberFlag(std::string_view arg, std::string_view flag,
+                       double min, double max, double* out, Status* error);
 
 /// Formats a double with fixed precision (used by report tables).
 std::string FormatDouble(double value, int precision);

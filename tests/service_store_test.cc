@@ -186,6 +186,40 @@ TEST_F(ChunkedSessionTest, ForcedSolverSessionsSurviveRestart) {
   server.Shutdown();
 }
 
+// Subnormal doubles cross the store's dictionary deltas as exact
+// decimal text; a restart must parse them back, not drop the session
+// (and with it the acknowledged rows) as corrupt.
+TEST_F(ChunkedSessionTest, SubnormalCellsSurviveRestart) {
+  std::string cold_response;
+  {
+    FdxServer server(DurableOptions());
+    ASSERT_TRUE(server.Start().ok());
+    ASSERT_TRUE(IsOk(
+        Request(server.port(), R"({"op":"open","schema":["a","b","c"]})")));
+    ASSERT_TRUE(IsOk(Request(server.port(),
+                             R"({"op":"append","session":"s-1","rows":)" +
+                                 RowsJson(24, 5) + "}")));
+    auto append = Request(server.port(),
+                          R"({"op":"append","session":"s-1",)"
+                          R"("csv":"1e-310,x,0\n2.5e-320,y,1\n"})");
+    ASSERT_TRUE(IsOk(append)) << *append;
+    auto cold = Request(server.port(), R"({"op":"discover","session":"s-1"})");
+    ASSERT_TRUE(IsOk(cold)) << *cold;
+    cold_response = *cold;
+    server.Shutdown();
+  }
+  (void)RemoveFile(state_dir_ + "/cache.json");
+  FdxServer server(DurableOptions());
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.sessions_recovered(), 1u);
+  EXPECT_EQ(server.sessions_recovery_failed(), 0u);
+  auto warm = Request(server.port(), R"({"op":"discover","session":"s-1"})");
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(*warm, cold_response);
+  EXPECT_TRUE(ReadFileToString(state_dir_ + "/stores/s-1/manifest.json").ok());
+  server.Shutdown();
+}
+
 TEST_F(ChunkedSessionTest, CorruptStoreIsDroppedOnRestart) {
   {
     FdxServer server(DurableOptions());

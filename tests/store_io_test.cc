@@ -219,9 +219,8 @@ TEST(StoreIoTest, MmapFaultFallsBackToReadPath) {
       ASSERT_TRUE(store.ok());
       AppendInChunks(table, 30, &store.value());
     }
-    // Armed across open *and* the column reads: raw stores only create
-    // per-chunk I/O state on the first column read, compressed ones
-    // already during Open's fingerprint replay.
+    // Armed across open *and* the column reads: Open establishes each
+    // chunk's I/O state, and no column read may map a chunk either.
     ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
     auto store = ChunkedTable::Open(dir);
     ASSERT_TRUE(store.ok()) << store.status().message();
@@ -532,15 +531,9 @@ TEST(StoreIoTest, ParallelDecodeReportsLowestFailingChunkOnCodeRange) {
 TEST(StoreIoTest, ConcurrentFirstTouchesFallBackOncePerChunk) {
   const std::string dir = FreshDir("race");
   const Table table = IoTable(kParallelChunks * kParallelChunkRows);
-  {
-    auto store = ChunkedTable::Create(table.schema(), dir);
-    ASSERT_TRUE(store.ok());
-    AppendInChunks(table, kParallelChunkRows, &store.value());
-  }
-  auto store = ChunkedTable::Open(dir);
-  ASSERT_TRUE(store.ok());
+  ChunkedTable store = TenChunkStore(dir);
   const EncodedTable encoded = EncodedTable::Encode(table);
-  // Raw stores open no chunk I/O state until the first column read, so
+  // Chunks this store appended get their I/O state on first touch, so
   // every reader below races to first-touch all ten chunks.
   ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
   std::vector<std::vector<int32_t>> codes(8);
@@ -548,8 +541,8 @@ TEST(StoreIoTest, ConcurrentFirstTouchesFallBackOncePerChunk) {
   std::vector<std::thread> readers;
   for (size_t i = 0; i < codes.size(); ++i) {
     readers.emplace_back([&, i] {
-      reads[i] = store.value().ReadColumnCodes(i % table.num_columns(),
-                                               &codes[i], kReadThreads[i % 4]);
+      reads[i] = store.ReadColumnCodes(i % table.num_columns(), &codes[i],
+                                       kReadThreads[i % 4]);
     });
   }
   for (std::thread& reader : readers) reader.join();
@@ -558,8 +551,47 @@ TEST(StoreIoTest, ConcurrentFirstTouchesFallBackOncePerChunk) {
     ASSERT_TRUE(reads[i].ok()) << reads[i].message();
     EXPECT_EQ(codes[i], encoded.column_codes(i % table.num_columns()));
   }
-  EXPECT_EQ(store.value().mmap_fallbacks(), kParallelChunks);
+  EXPECT_EQ(store.mmap_fallbacks(), kParallelChunks);
   ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+}
+
+// A reopened store establishes (maps or opens, and fingerprints) every
+// chunk inside Open, once: no later column or value read builds a
+// chunk's I/O state again. With the `store.mmap` fault point armed,
+// every establishment counts one fallback, so the count pins it.
+TEST(StoreIoTest, ReopenedStoreEstablishesEachChunkOnce) {
+  const Table table = IoTable(kParallelChunks * kParallelChunkRows);
+  const EncodedTable encoded = EncodedTable::Encode(table);
+  for (const char* codec : {"", "varint"}) {
+    const std::string dir =
+        FreshDir(std::string("once_") + (codec[0] == '\0' ? "raw" : codec));
+    {
+      auto store = ChunkedTable::Create(table.schema(), dir, codec);
+      ASSERT_TRUE(store.ok());
+      AppendInChunks(table, kParallelChunkRows, &store.value());
+    }
+    ASSERT_TRUE(ArmFaults(std::string(kFaultStoreMmap)).ok());
+    auto store = ChunkedTable::Open(dir);
+    ASSERT_TRUE(store.ok()) << codec << ": " << store.status().message();
+    ASSERT_EQ(store.value().num_chunks(), kParallelChunks);
+    EXPECT_EQ(store.value().mmap_fallbacks(), kParallelChunks) << codec;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        std::vector<int32_t> codes;
+        ASSERT_TRUE(store.value().ReadColumnCodes(c, &codes, threads).ok());
+        EXPECT_EQ(codes, encoded.column_codes(c))
+            << codec << " col " << c << " x" << threads;
+      }
+    }
+    for (size_t chunk = 0; chunk < kParallelChunks; ++chunk) {
+      auto values = store.value().ReadChunkValues(chunk);
+      ASSERT_TRUE(values.ok()) << values.status().message();
+      EXPECT_EQ(values.value().num_rows(), kParallelChunkRows);
+    }
+    DisarmFaults();
+    EXPECT_EQ(store.value().mmap_fallbacks(), kParallelChunks) << codec;
+    ASSERT_TRUE(RemoveDirectoryRecursive(dir).ok());
+  }
 }
 
 TEST(StoreIoTest, DecompressFaultSurfacesAtEveryThreadCount) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,8 +25,9 @@ std::string FreshDir(const std::string& tag) {
 
 /// A mixed-type table exercising every dictionary corner: numeric merge
 /// (int 3 vs double 3.0), signed zero, nulls, strings that look numeric,
-/// a double needing all 17 digits (0.1 + 0.2), and an integral double
-/// (1e6) that must not come back re-typed as an int.
+/// a double needing all 17 digits (0.1 + 0.2), an integral double
+/// (1e6) that must not come back re-typed as an int, subnormal doubles,
+/// the double and int64 extremes.
 Table MixedTable(size_t rows) {
   Table table{Schema({"a", "b", "c"})};
   for (size_t r = 0; r < rows; ++r) {
@@ -53,6 +55,24 @@ Table MixedTable(size_t rows) {
         break;
       case 6:
         row[1] = Value(1e6);
+        break;
+      case 7:
+        row[1] = Value(1e-310);
+        break;
+      case 8:
+        row[1] = Value(-std::numeric_limits<double>::denorm_min());
+        break;
+      case 9:
+        row[1] = Value(std::numeric_limits<double>::min());
+        break;
+      case 10:
+        row[1] = Value(std::numeric_limits<double>::max());
+        break;
+      case 11:
+        row[1] = Value(std::numeric_limits<int64_t>::min());
+        break;
+      case 12:
+        row[1] = Value(std::numeric_limits<int64_t>::max());
         break;
       default:
         row[1] = Value(static_cast<int64_t>(r % 7));

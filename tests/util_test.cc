@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "util/rng.h"
@@ -87,16 +88,46 @@ TEST(StringUtilTest, StripAsciiWhitespace) {
   EXPECT_EQ(StripAsciiWhitespace(" \n "), "");
 }
 
-TEST(StringUtilTest, IsIntegerAndIsDouble) {
-  EXPECT_TRUE(IsInteger("42"));
-  EXPECT_TRUE(IsInteger("-7"));
-  EXPECT_FALSE(IsInteger("4.2"));
-  EXPECT_FALSE(IsInteger("x"));
-  EXPECT_FALSE(IsInteger(""));
-  EXPECT_TRUE(IsDouble("4.2"));
-  EXPECT_TRUE(IsDouble("-1e3"));
-  EXPECT_FALSE(IsDouble("4.2x"));
-  EXPECT_FALSE(IsDouble(""));
+TEST(StringUtilTest, ParseExactAndNumberFlags) {
+  int64_t i = 0;
+  double d = 0.0;
+  EXPECT_TRUE(ParseExact("42", &i));
+  EXPECT_TRUE(ParseExact("-7", &i));
+  EXPECT_EQ(i, -7);
+  EXPECT_FALSE(ParseExact("4.2", &i));
+  EXPECT_FALSE(ParseExact("x", &i));
+  EXPECT_FALSE(ParseExact("", &i));
+  EXPECT_TRUE(ParseExact("4.2", &d));
+  EXPECT_TRUE(ParseExact("-1e3", &d));
+  EXPECT_EQ(d, -1e3);
+  EXPECT_FALSE(ParseExact("4.2x", &d));
+  EXPECT_FALSE(ParseExact("", &d));
+  // Subnormals parse (strtod would flag them ERANGE); overflow does not.
+  EXPECT_TRUE(ParseExact("9.9999999999999694e-311", &d));
+  EXPECT_EQ(d, 1e-310);
+  EXPECT_FALSE(ParseExact("1e999", &d));
+
+  // Number flags: finite, whole, in range; the error names all three.
+  const double kMax = std::numeric_limits<double>::max();
+  EXPECT_EQ(ParseNumberFlag("--x", "0.25", 0, 1).value(), 0.25);
+  EXPECT_EQ(ParseNumberFlag("--x", "-3", -kMax, kMax).value(), -3.0);
+  EXPECT_EQ(ParseNumberFlag("--x", "7", 0, 1).status().message(),
+            "--x must be a finite number in [0, 1], got \"7\"");
+  EXPECT_EQ(ParseNumberFlag("--x", "-1", 0, kMax).status().message(),
+            "--x must be a finite number >= 0, got \"-1\"");
+  for (const char* bad : {"", "abc", "5s", "nan", "inf", "1e999", " 1"}) {
+    EXPECT_EQ(ParseNumberFlag("--x", bad, -kMax, kMax).status().message(),
+              std::string("--x must be a finite number, got \"") + bad + "\"");
+  }
+  double out = 2.0;
+  Status error = Status::OK();
+  EXPECT_FALSE(ConsumeNumberFlag("--xy=1", "--x", 0, 1, &out, &error));
+  EXPECT_TRUE(ConsumeNumberFlag("--x=0.5", "--x", 0, 1, &out, &error));
+  EXPECT_EQ(out, 0.5);
+  EXPECT_TRUE(error.ok());
+  EXPECT_TRUE(ConsumeNumberFlag("--x=2", "--x", 0, 1, &out, &error));
+  EXPECT_EQ(out, 0.5);
+  EXPECT_FALSE(error.ok());
 }
 
 TEST(StringUtilTest, FormatDouble) {

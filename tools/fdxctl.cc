@@ -38,6 +38,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -51,9 +52,14 @@
 #include "service/protocol.h"
 #include "util/json_writer.h"
 #include "util/socket.h"
+#include "util/string_util.h"
 
 namespace fdx::ctl {
 namespace {
+
+/// Upper bound of the seconds flags: durations stay within what
+/// steady_clock's nanosecond ticks hold.
+constexpr double kMaxSeconds = 1e9;
 
 class Args {
  public:
@@ -200,7 +206,9 @@ Result<std::string> BuildRequest(const std::string& op, const Args& args) {
   if (!options.empty()) request += ",\"options\":" + options;
   const std::string deadline = args.Get("deadline");
   if (!deadline.empty()) {
-    const double seconds = std::atof(deadline.c_str());
+    FDX_ASSIGN_OR_RETURN(const double seconds,
+                         ParseNumberFlag("--deadline", deadline, 0,
+                                         kMaxSeconds));
     if (seconds <= 0.0) {
       return Status::InvalidArgument("--deadline must be a positive number");
     }
@@ -282,16 +290,27 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "fdxctl: need --port=N or --port-file=PATH\n");
     return 2;
   }
-  const double timeout = std::atof(args.Get("timeout", "0").c_str());
-  if (timeout < 0.0) {
-    std::fprintf(stderr, "fdxctl: --timeout must be non-negative\n");
-    return 2;
-  }
-  const int retries = std::atoi(args.Get("retries", "0").c_str());
-  const double base_ms = std::atof(args.Get("retry-base-ms", "100").c_str());
-  if (retries < 0 || base_ms <= 0.0) {
-    std::fprintf(stderr,
-                 "fdxctl: --retries must be >= 0, --retry-base-ms > 0\n");
+  double timeout = 0.0;
+  int retries = 0;
+  double base_ms = 100.0;
+  const Status flags = [&]() -> Status {
+    FDX_ASSIGN_OR_RETURN(timeout, ParseNumberFlag("--timeout",
+                                                  args.Get("timeout", "0"), 0,
+                                                  kMaxSeconds));
+    FDX_ASSIGN_OR_RETURN(retries, ParseIntFlag("--retries",
+                                               args.Get("retries", "0"), 0,
+                                               INT_MAX));
+    FDX_ASSIGN_OR_RETURN(
+        base_ms, ParseNumberFlag("--retry-base-ms",
+                                 args.Get("retry-base-ms", "100"), 0,
+                                 kMaxSeconds * 1000));
+    if (base_ms <= 0.0) {
+      return Status::InvalidArgument("--retry-base-ms must be > 0");
+    }
+    return Status::OK();
+  }();
+  if (!flags.ok()) {
+    std::fprintf(stderr, "fdxctl: %s\n", flags.message().c_str());
     return 2;
   }
   // Replaying a timed-out open/append could duplicate server state; see

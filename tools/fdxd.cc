@@ -9,24 +9,25 @@
 // threads multiplexes every connection with pipelined request framing;
 // solver-bound work runs on a bounded pool of worker threads.
 //
-// Flags (all --key=value). An integer flag whose value is not an
-// integer or lies outside the flag's range is a usage error: the daemon
-// names the flag and its range and exits with code 2 before starting
-// any thread.
+// Flags (all --key=value). A number flag whose value is not a finite
+// number (an integer, for the integer flags) or lies outside the flag's
+// range is a usage error: the daemon names the flag and its range and
+// exits with code 2 before starting any thread. Seconds flags take
+// [0, 1e9], --time-budget any finite number.
 //   --port=N            listen port; 0 (default) picks an ephemeral port
 //   --port-file=PATH    write the bound port to PATH (for scripts/CI)
 //   --io-threads=N      event-loop threads, 1..1024         (default 1)
 //   --workers=N         discovery worker threads, 1..1024   (default 2)
 //   --queue-capacity=N  admitted-unfinished job cap         (default 8)
 //   --max-sessions=N    open dataset sessions cap           (default 32)
-//   --session-ttl=SEC   idle-session eviction, <=0 disables (default 600)
+//   --session-ttl=SEC   idle-session eviction, 0 disables   (default 600)
 //   --session-shards=N  session-registry mutex stripes      (default 8)
 //   --drain-seconds=SEC shutdown drain budget               (default 10)
 //   --cache-capacity=N  result-cache entries                (default 64)
 //   --cache-shards=N    result-cache mutex stripes          (default 8)
 //   --max-pipeline-depth=N  per-connection pipelined frames (default 1024)
 //   --lambda=, --time-budget=   baseline FdxOptions for requests that
-//                               don't override them
+//                               don't override them (--lambda >= 0)
 //   --debug-ops         enable the test-only `sleep` op
 //
 // Robustness flags (DESIGN.md §13):
@@ -38,7 +39,7 @@
 //   --default-deadline=SEC   server-side deadline applied to requests
 //                            that don't send "deadline_seconds" (0 = none)
 //   --shed-watermark=F  shed new discover jobs once queue depth crosses
-//                       F * queue capacity (0 disables shedding)
+//                       F * queue capacity, F in [0, 1] (0 disables)
 //   --shed-rss-mb=N     shed new discover jobs above N MiB RSS (0 = off)
 //   --shed-retry-after=SEC   retry_after hint on shed responses (default 0.2)
 //   --store-compression=none|varint  chunk payload codec for durable
@@ -61,6 +62,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,15 +111,23 @@ int Main(int argc, char** argv) {
     const auto value = [&arg](const char* prefix) {
       return arg.substr(std::string(prefix).size());
     };
-    // Integer flags: a value that is not an integer in the flag's
-    // range is reported by name before anything starts.
-    Status bad_int = Status::OK();
+    // Number flags: a value that is not a number (an integer, for the
+    // integer flags) in the flag's range is reported by name before
+    // anything starts.
+    Status bad_value = Status::OK();
     const auto int_flag = [&](const char* name, int64_t min, int64_t max,
                               auto* out) {
-      return ConsumeIntFlag(arg, name, min, max, out, &bad_int);
+      return ConsumeIntFlag(arg, name, min, max, out, &bad_value);
+    };
+    const auto number_flag = [&](const char* name, double min, double max,
+                                 double* out) {
+      return ConsumeNumberFlag(arg, name, min, max, out, &bad_value);
     };
     constexpr int64_t kMaxThreads = 1024;
     constexpr int64_t kMaxCount = int64_t{1} << 24;
+    // Durations stay within what steady_clock's nanosecond ticks hold.
+    constexpr double kMaxSeconds = 1e9;
+    constexpr double kAnyNumber = std::numeric_limits<double>::max();
     if (int_flag("--port", 0, 65535, &options.port) ||
         int_flag("--io-threads", 1, kMaxThreads, &options.io_threads) ||
         int_flag("--workers", 1, kMaxThreads, &options.workers) ||
@@ -128,38 +138,32 @@ int Main(int argc, char** argv) {
         int_flag("--cache-shards", 1, kMaxThreads, &options.cache_shards) ||
         int_flag("--max-pipeline-depth", 1, kMaxCount,
                  &options.max_pipeline_depth) ||
-        int_flag("--shed-rss-mb", 0, kMaxCount, &options.shed_max_rss_mb)) {
-      if (!bad_int.ok()) {
-        std::fprintf(stderr, "fdxd: %s\n", bad_int.message().c_str());
+        int_flag("--shed-rss-mb", 0, kMaxCount, &options.shed_max_rss_mb) ||
+        number_flag("--session-ttl", 0, kMaxSeconds,
+                    &options.session_ttl_seconds) ||
+        number_flag("--drain-seconds", 0, kMaxSeconds,
+                    &options.drain_seconds) ||
+        number_flag("--lambda", 0, kAnyNumber, &options.fdx.lambda) ||
+        number_flag("--time-budget", -kAnyNumber, kAnyNumber,
+                    &options.fdx.time_budget_seconds) ||
+        number_flag("--snapshot-interval", 0, kMaxSeconds,
+                    &options.snapshot_interval_seconds) ||
+        number_flag("--default-deadline", 0, kMaxSeconds,
+                    &options.default_deadline_seconds) ||
+        number_flag("--shed-watermark", 0, 1,
+                    &options.shed_queue_watermark) ||
+        number_flag("--shed-retry-after", 0, kMaxSeconds,
+                    &options.shed_retry_after_seconds)) {
+      if (!bad_value.ok()) {
+        std::fprintf(stderr, "fdxd: %s\n", bad_value.message().c_str());
         return Usage();
       }
     } else if (arg.rfind("--port-file=", 0) == 0) {
       port_file = value("--port-file=");
-    } else if (arg.rfind("--session-ttl=", 0) == 0) {
-      options.session_ttl_seconds = std::atof(value("--session-ttl=").c_str());
-    } else if (arg.rfind("--drain-seconds=", 0) == 0) {
-      options.drain_seconds = std::atof(value("--drain-seconds=").c_str());
-    } else if (arg.rfind("--lambda=", 0) == 0) {
-      options.fdx.lambda = std::atof(value("--lambda=").c_str());
-    } else if (arg.rfind("--time-budget=", 0) == 0) {
-      options.fdx.time_budget_seconds =
-          std::atof(value("--time-budget=").c_str());
     } else if (arg == "--debug-ops") {
       options.enable_debug_ops = true;
     } else if (arg.rfind("--state-dir=", 0) == 0) {
       options.state_dir = value("--state-dir=");
-    } else if (arg.rfind("--snapshot-interval=", 0) == 0) {
-      options.snapshot_interval_seconds =
-          std::atof(value("--snapshot-interval=").c_str());
-    } else if (arg.rfind("--default-deadline=", 0) == 0) {
-      options.default_deadline_seconds =
-          std::atof(value("--default-deadline=").c_str());
-    } else if (arg.rfind("--shed-watermark=", 0) == 0) {
-      options.shed_queue_watermark =
-          std::atof(value("--shed-watermark=").c_str());
-    } else if (arg.rfind("--shed-retry-after=", 0) == 0) {
-      options.shed_retry_after_seconds =
-          std::atof(value("--shed-retry-after=").c_str());
     } else if (arg.rfind("--store-compression=", 0) == 0) {
       options.store_compression = value("--store-compression=");
     } else {

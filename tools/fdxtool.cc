@@ -15,8 +15,12 @@
 // --time-budget= (wall-clock seconds; expired runs exit 4 with a
 // Timeout status), --no-recovery (fail fast instead of retrying).
 // --lambda (>= 0), --tau, --relative and --time-budget must be finite
-// numbers and --max-pairs an integer >= 0; a malformed value is a usage
-// error (exit 2) reported before any input is read.
+// numbers, --error, --noise, --support, --confidence and --min-score
+// numbers in [0, 1], --budget a number >= 0, and the counts
+// (--max-pairs, --tuples, --attributes, --seed, --top, --max-size,
+// --max-lhs, --max-predicates, --sample-pairs) integers >= 0; a
+// malformed value is a usage error (exit 2) reported before any input
+// is read.
 //
 // Beyond-RAM discovery (discover only): --max-memory-mb=N streams the
 // CSV through a spillable chunk store and runs the bounded-memory
@@ -31,9 +35,9 @@
 //
 // Exit codes: 0 ok, 1 error, 2 usage, 3 validation violations, 4 timeout.
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <string>
 
@@ -81,11 +85,6 @@ class Args {
     return fallback;
   }
 
-  double GetDouble(const std::string& name, double fallback) const {
-    const std::string value = Get(name);
-    return value.empty() ? fallback : std::atof(value.c_str());
-  }
-
   bool Has(const std::string& name) const {
     for (const auto& flag : flags_) {
       if (flag == "--" + name) return true;
@@ -113,21 +112,37 @@ int RejectFlag(const Status& status) {
   return 2;
 }
 
-/// Reads the finite-number flag --`name` into `*value` (left as is when
-/// the flag is absent). The whole value must parse, and with
-/// `non_negative` it must also be >= 0.
-Status ParseNumberFlag(const Args& args, const std::string& name,
-                       bool non_negative, double* value) {
+/// Upper bound of a number flag that has none of its own.
+constexpr double kAnyNumber = std::numeric_limits<double>::max();
+
+/// Reads the number flag --`name` into `*value` (left as is when the
+/// flag is absent); see ParseNumberFlag.
+Status NumberFlag(const Args& args, const std::string& name, double min,
+                  double max, double* value) {
   const std::string text = args.Get(name);
   if (text.empty()) return Status::OK();
-  double parsed = 0.0;
-  if (!ParseExact(text, &parsed) || !std::isfinite(parsed) ||
-      (non_negative && parsed < 0.0)) {
-    return Status::InvalidArgument(
-        "--" + name + " must be a finite number" +
-        (non_negative ? " >= 0" : "") + ", got \"" + text + "\"");
+  FDX_ASSIGN_OR_RETURN(*value, ParseNumberFlag("--" + name, text, min, max));
+  return Status::OK();
+}
+
+/// Reads the count flag --`name` (an integer >= 0) into `*value` (left
+/// as is when the flag is absent); see ParseIntFlag.
+template <typename T>
+Status CountFlag(const Args& args, const std::string& name, T* value) {
+  const std::string text = args.Get(name);
+  if (text.empty()) return Status::OK();
+  FDX_ASSIGN_OR_RETURN(const int64_t parsed,
+                       ParseIntFlag("--" + name, text, 0,
+                                    std::numeric_limits<int64_t>::max()));
+  *value = static_cast<T>(parsed);
+  return Status::OK();
+}
+
+/// The first failed status of a subcommand's flag reads, or OK.
+Status FirstError(std::initializer_list<Status> statuses) {
+  for (const Status& status : statuses) {
+    if (!status.ok()) return status;
   }
-  *value = parsed;
   return Status::OK();
 }
 
@@ -136,15 +151,15 @@ Status ParseNumberFlag(const Args& args, const std::string& name,
 /// default.
 Result<FdxOptions> OptionsFromArgs(const Args& args) {
   FdxOptions options;
-  FDX_RETURN_IF_ERROR(ParseNumberFlag(args, "lambda", /*non_negative=*/true,
-                                      &options.lambda));
-  FDX_RETURN_IF_ERROR(ParseNumberFlag(args, "time-budget", false,
-                                      &options.time_budget_seconds));
+  FDX_RETURN_IF_ERROR(
+      NumberFlag(args, "lambda", 0, kAnyNumber, &options.lambda));
+  FDX_RETURN_IF_ERROR(NumberFlag(args, "time-budget", -kAnyNumber,
+                                 kAnyNumber, &options.time_budget_seconds));
   if (args.Has("no-recovery")) options.recovery.enabled = false;
-  FDX_RETURN_IF_ERROR(
-      ParseNumberFlag(args, "tau", false, &options.sparsity_threshold));
-  FDX_RETURN_IF_ERROR(
-      ParseNumberFlag(args, "relative", false, &options.relative_threshold));
+  FDX_RETURN_IF_ERROR(NumberFlag(args, "tau", -kAnyNumber, kAnyNumber,
+                                 &options.sparsity_threshold));
+  FDX_RETURN_IF_ERROR(NumberFlag(args, "relative", -kAnyNumber, kAnyNumber,
+                                 &options.relative_threshold));
   const std::string max_pairs = args.Get("max-pairs");
   if (!max_pairs.empty()) {
     FDX_ASSIGN_OR_RETURN(
@@ -312,9 +327,8 @@ int Discover(const Args& args) {
   if (!chunk_rows.ok()) return RejectFlag(chunk_rows.status());
   const std::string max_memory = args.Get("max-memory-mb");
   if (!max_memory.empty()) {
-    const double mb =
-        IsDouble(max_memory) ? std::atof(max_memory.c_str()) : 0.0;
-    if (!(mb > 0.0 && mb <= kMaxMemoryMb)) {
+    double mb = 0.0;
+    if (!ParseExact(max_memory, &mb) || !(mb > 0.0 && mb <= kMaxMemoryMb)) {
       return RejectFlag(Status::InvalidArgument(
           "--max-memory-mb must be a number of megabytes in (0, " +
           std::to_string(kMaxMemoryMb) + "], got \"" + max_memory + "\""));
@@ -466,14 +480,17 @@ int Compare(const Args& args) {
   }
   const Result<FdxOptions> options = OptionsFromArgs(args);
   if (!options.ok()) return RejectFlag(options.status());
+  RunnerConfig config;
+  config.time_budget_seconds = 30.0;
+  const Status flags = FirstError(
+      {NumberFlag(args, "budget", 0, kAnyNumber, &config.time_budget_seconds),
+       NumberFlag(args, "error", 0, 1, &config.expected_error)});
+  if (!flags.ok()) return RejectFlag(flags);
   auto table = LoadTable(args, args.positional()[0]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
   }
-  RunnerConfig config;
-  config.time_budget_seconds = args.GetDouble("budget", 30.0);
-  config.expected_error = args.GetDouble("error", 0.01);
   config.fdx = *options;
   std::printf("time budget: %s s per method\n\n",
               FormatDouble(config.time_budget_seconds, 1).c_str());
@@ -516,22 +533,23 @@ int Dc(const Args& args) {
                  " [--sample-pairs=N] [--top=N]\n");
     return 2;
   }
+  DcOptions options;
+  size_t top = 40;
+  const Status flags =
+      FirstError({CountFlag(args, "max-predicates", &options.max_predicates),
+                  CountFlag(args, "sample-pairs", &options.sample_pairs),
+                  CountFlag(args, "top", &top)});
+  if (!flags.ok()) return RejectFlag(flags);
   auto table = LoadTable(args, args.positional()[0]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
   }
-  DcOptions options;
-  options.max_predicates =
-      static_cast<size_t>(args.GetDouble("max-predicates", 3));
-  options.sample_pairs =
-      static_cast<size_t>(args.GetDouble("sample-pairs", 20000));
   auto dcs = DiscoverDenialConstraints(*table, options);
   if (!dcs.ok()) {
     std::fprintf(stderr, "%s\n", dcs.status().ToString().c_str());
     return 1;
   }
-  const size_t top = static_cast<size_t>(args.GetDouble("top", 40));
   std::printf("%zu minimal denial constraints (showing up to %zu):\n",
               dcs->size(), top);
   for (size_t i = 0; i < dcs->size() && i < top; ++i) {
@@ -546,14 +564,16 @@ int Keys(const Args& args) {
                  "usage: fdxtool keys <csv> [--error=E] [--max-size=K]\n");
     return 2;
   }
+  UccOptions options;
+  const Status flags =
+      FirstError({NumberFlag(args, "error", 0, 1, &options.max_error),
+                  CountFlag(args, "max-size", &options.max_size)});
+  if (!flags.ok()) return RejectFlag(flags);
   auto table = LoadTable(args, args.positional()[0]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
   }
-  UccOptions options;
-  options.max_error = args.GetDouble("error", 0.0);
-  options.max_size = static_cast<size_t>(args.GetDouble("max-size", 3));
   auto uccs = DiscoverUccs(*table, options);
   if (!uccs.ok()) {
     std::fprintf(stderr, "%s\n", uccs.status().ToString().c_str());
@@ -578,23 +598,24 @@ int Cfd(const Args& args) {
                  " [--max-lhs=K] [--top=N]\n");
     return 2;
   }
+  CfdOptions options;
+  size_t top = 40;
+  const Status flags = FirstError(
+      {NumberFlag(args, "support", 0, 1, &options.min_support),
+       NumberFlag(args, "confidence", 0, 1, &options.min_confidence),
+       CountFlag(args, "max-lhs", &options.max_lhs_size),
+       CountFlag(args, "top", &top)});
+  if (!flags.ok()) return RejectFlag(flags);
   auto table = LoadTable(args, args.positional()[0]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
   }
-  CfdOptions options;
-  options.min_support = args.GetDouble("support", options.min_support);
-  options.min_confidence =
-      args.GetDouble("confidence", options.min_confidence);
-  options.max_lhs_size =
-      static_cast<size_t>(args.GetDouble("max-lhs", 2));
   auto cfds = DiscoverConstantCfds(*table, options);
   if (!cfds.ok()) {
     std::fprintf(stderr, "%s\n", cfds.status().ToString().c_str());
     return 1;
   }
-  const size_t top = static_cast<size_t>(args.GetDouble("top", 40));
   std::printf("%zu constant CFDs (showing up to %zu):\n", cfds->size(),
               top);
   for (size_t i = 0; i < cfds->size() && i < top; ++i) {
@@ -612,19 +633,23 @@ int Rank(const Args& args) {
                  "usage: fdxtool rank <csv> [--min-score=S] [--top=N]\n");
     return 2;
   }
+  AfdRankingOptions options;
+  options.min_reliable_fraction = 0.05;
+  size_t top = 20;
+  const Status flags = FirstError(
+      {NumberFlag(args, "min-score", 0, 1, &options.min_reliable_fraction),
+       CountFlag(args, "top", &top)});
+  if (!flags.ok()) return RejectFlag(flags);
   auto table = LoadTable(args, args.positional()[0]);
   if (!table.ok()) {
     std::fprintf(stderr, "%s\n", table.status().ToString().c_str());
     return 1;
   }
-  AfdRankingOptions options;
-  options.min_reliable_fraction = args.GetDouble("min-score", 0.05);
   auto ranked = RankUnaryAfds(*table, options);
   if (!ranked.ok()) {
     std::fprintf(stderr, "%s\n", ranked.status().ToString().c_str());
     return 1;
   }
-  const size_t top = static_cast<size_t>(args.GetDouble("top", 20));
   ReportTable report(
       {"candidate FD", "reliable", "frac-info", "g3", "strength"});
   for (size_t i = 0; i < ranked->size() && i < top; ++i) {
@@ -647,12 +672,13 @@ int Generate(const Args& args) {
     return 2;
   }
   SyntheticConfig config;
-  config.num_tuples =
-      static_cast<size_t>(args.GetDouble("tuples", 1000));
-  config.num_attributes =
-      static_cast<size_t>(args.GetDouble("attributes", 10));
-  config.noise_rate = args.GetDouble("noise", 0.01);
-  config.seed = static_cast<uint64_t>(args.GetDouble("seed", 42));
+  config.num_attributes = 10;
+  const Status flags =
+      FirstError({CountFlag(args, "tuples", &config.num_tuples),
+                  CountFlag(args, "attributes", &config.num_attributes),
+                  NumberFlag(args, "noise", 0, 1, &config.noise_rate),
+                  CountFlag(args, "seed", &config.seed)});
+  if (!flags.ok()) return RejectFlag(flags);
   auto ds = GenerateSynthetic(config);
   if (!ds.ok()) {
     std::fprintf(stderr, "%s\n", ds.status().ToString().c_str());
